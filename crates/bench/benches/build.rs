@@ -41,10 +41,9 @@ fn bench_build(c: &mut Criterion) {
 /// slower builds) but less per-leaf scanning; the default 24 sits at
 /// the flat part of the query-time curve.
 fn bench_leaf_weight(c: &mut Criterion) {
-    use skq_geom::{Point, RankSpace, Rect, Region};
+    use skq_geom::{RankSpace, Rect, Region};
     let ps = planted_spatial(30_000, 2, 2, 300, 1e6, 63);
     let rank = RankSpace::build(ps.dataset.points());
-    let rank_points: Vec<Point> = (0..ps.dataset.len()).map(|i| rank.point(i)).collect();
     let weights: Vec<u64> = (0..ps.dataset.len())
         .map(|i| ps.dataset.weight(i))
         .collect();
@@ -52,8 +51,8 @@ fn bench_leaf_weight(c: &mut Criterion) {
     g.sample_size(15);
     for leaf in [8u64, 24, 96, 384] {
         let tree = TransformedIndex::build(
-            KdPartitioner::new(rank_points.clone(), weights.clone()),
-            ps.dataset.docs().to_vec(),
+            KdPartitioner::over(rank.ranks().clone(), weights.clone()),
+            ps.dataset.docs(),
             2,
             FrameworkConfig { leaf_weight: leaf },
         );

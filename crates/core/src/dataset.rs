@@ -7,8 +7,8 @@
 
 use crate::error::SkqError;
 use crate::persist::{self, Persist, SCHEMA_VERSION};
-use skq_geom::Point;
-use skq_invidx::{Document, Keyword};
+use skq_geom::{FlatPoints, Point};
+use skq_invidx::{CsrDocs, Document, Keyword};
 
 /// An immutable dataset of objects, each a point with a document.
 ///
@@ -240,30 +240,72 @@ impl Dataset {
 
 impl Persist for Dataset {
     fn to_pages(&self, w: &mut persist::PageWriter) -> Result<(), SkqError> {
-        let mut head = Vec::new();
-        persist::put_uv(&mut head, self.points.len() as u64);
-        persist::put_uv(&mut head, self.dim as u64);
-        w.page(persist::kind::DATASET_HEAD, SCHEMA_VERSION, head);
-        persist::put_point_pages(w, persist::kind::DATASET_POINTS, &self.points, self.dim);
-        persist::put_doc_pages(w, persist::kind::DATASET_DOCS, &self.docs);
+        put_dataset_pages(
+            w,
+            self.dim,
+            self.points.iter().map(Point::coords),
+            self.docs.iter().map(Document::keywords),
+        );
         Ok(())
     }
 
     fn from_pages(r: &mut persist::PageReader<'_>) -> Result<Self, SkqError> {
-        let mut head = r.page(persist::kind::DATASET_HEAD, SCHEMA_VERSION, "dataset")?;
-        let n = head.usizev()?;
-        let dim = head.usizev()?;
-        head.end()?;
-        let points =
-            persist::read_point_pages(r, persist::kind::DATASET_POINTS, "dataset", n, dim)?;
-        let docs = persist::read_doc_pages(r, persist::kind::DATASET_DOCS, "dataset", n)?;
-        // `try_new` re-validates non-emptiness, dimension consistency,
-        // and coordinate finiteness, and recomputes the derived totals.
-        Dataset::try_new(points, docs).map_err(|e| SkqError::Corrupted {
-            section: "dataset".into(),
-            detail: e.to_string(),
-        })
+        // The reader validates non-emptiness and finiteness; dimension
+        // consistency holds by the flat layout.
+        let (points, docs) = read_dataset_pages(r)?;
+        let points = (0..points.len()).map(|i| points.point(i)).collect();
+        let docs = docs.iter().map(|d| Document::new(d.to_vec())).collect();
+        Ok(Dataset::assemble(points, docs))
     }
+}
+
+/// Writes the `DATASET_*` section (head, points, documents) — the
+/// object set of a [`Dataset`], also written by the suite from its
+/// flat copy.
+pub(crate) fn put_dataset_pages<'a>(
+    w: &mut persist::PageWriter,
+    dim: usize,
+    points: impl ExactSizeIterator<Item = &'a [f64]>,
+    docs: impl Iterator<Item = &'a [Keyword]>,
+) {
+    let mut head = Vec::new();
+    persist::put_uv(&mut head, points.len() as u64);
+    persist::put_uv(&mut head, dim as u64);
+    w.page(persist::kind::DATASET_HEAD, SCHEMA_VERSION, head);
+    persist::put_point_pages(w, persist::kind::DATASET_POINTS, dim, points);
+    persist::put_doc_pages(w, persist::kind::DATASET_DOCS, docs);
+}
+
+/// Reads a `DATASET_*` section in flat form, validating what
+/// [`Dataset::try_new`] validates: a non-empty object set with finite
+/// coordinates.
+pub(crate) fn read_dataset_pages(
+    r: &mut persist::PageReader<'_>,
+) -> Result<(FlatPoints, CsrDocs), SkqError> {
+    let section = "dataset";
+    let fail = |detail: String| SkqError::Corrupted {
+        section: section.into(),
+        detail,
+    };
+    let mut head = r.page(persist::kind::DATASET_HEAD, SCHEMA_VERSION, section)?;
+    let n = head.usizev()?;
+    let dim = head.usizev()?;
+    head.end()?;
+    let coords = persist::read_point_pages(r, persist::kind::DATASET_POINTS, section, n, dim)?;
+    let docs = persist::read_doc_pages(r, persist::kind::DATASET_DOCS, section, n)?;
+    if n == 0 {
+        return Err(fail("dataset must be non-empty".into()));
+    }
+    if let Some(at) = coords.iter().position(|c| !c.is_finite()) {
+        return Err(fail(format!(
+            "coordinates must be finite: object {} has {} in dimension {}",
+            at / dim,
+            coords[at],
+            at % dim
+        )));
+    }
+    let points = FlatPoints::try_from_coords(coords, dim).map_err(fail)?;
+    Ok((points, docs))
 }
 
 #[cfg(test)]

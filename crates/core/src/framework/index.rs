@@ -2,8 +2,8 @@
 
 use std::ops::ControlFlow;
 
-use skq_geom::{Rect, Region};
-use skq_invidx::{Document, Keyword};
+use skq_geom::{FlatPoints, Rect, Region};
+use skq_invidx::{CsrDocs, Document, Keyword};
 
 use crate::error::SkqError;
 use crate::failpoints;
@@ -62,7 +62,9 @@ struct Node<C> {
 /// halfspace conjunctions, simplices, or lifted balls.
 pub struct TransformedIndex<P: Partitioner> {
     partitioner: P,
-    docs: Vec<Document>,
+    /// Object documents in CSR form: every pivot and list scan tests
+    /// membership against one contiguous keyword array.
+    docs: CsrDocs,
     nodes: Vec<Node<P::Cell>>,
     k: usize,
     config: FrameworkConfig,
@@ -80,7 +82,7 @@ impl<P: Partitioner> TransformedIndex<P> {
     ///
     /// Panics with the [`try_build`](Self::try_build) error message if
     /// `k < 2` (the paper fixes `k ≥ 2`) or `docs` is empty.
-    pub fn build(partitioner: P, docs: Vec<Document>, k: usize, config: FrameworkConfig) -> Self {
+    pub fn build(partitioner: P, docs: &[Document], k: usize, config: FrameworkConfig) -> Self {
         Self::try_build(partitioner, docs, k, config).unwrap_or_else(|e| panic!("{e}"))
     }
 
@@ -90,12 +92,12 @@ impl<P: Partitioner> TransformedIndex<P> {
     /// # Errors
     ///
     /// `SkqError::InvalidQuery` if `k < 2` or `k > 16`;
-    /// `SkqError::InvalidDataset` if `docs` is empty. (With the
-    /// `failpoints` feature, an armed `framework::build` site also
-    /// fails here.)
+    /// `SkqError::InvalidDataset` if `docs` is empty or holds more than
+    /// `u32::MAX` keywords in total. (With the `failpoints` feature, an
+    /// armed `framework::build` site also fails here.)
     pub fn try_build(
         partitioner: P,
-        docs: Vec<Document>,
+        docs: &[Document],
         k: usize,
         config: FrameworkConfig,
     ) -> Result<Self, SkqError> {
@@ -114,7 +116,13 @@ impl<P: Partitioner> TransformedIndex<P> {
                 "cannot index an empty dataset".into(),
             ));
         }
+        if u32::try_from(docs.iter().map(Document::len).sum::<usize>()).is_err() {
+            return Err(SkqError::InvalidDataset(
+                "more than u32::MAX keywords in total".into(),
+            ));
+        }
         failpoints::check("framework::build")?;
+        let docs = CsrDocs::from_docs(docs);
         let all: Vec<u32> = (0..docs.len() as u32).collect();
         let total_weight = partitioner.total_weight(&all);
         let mut index = Self {
@@ -129,11 +137,7 @@ impl<P: Partitioner> TransformedIndex<P> {
         // At the root every keyword is trivially "large at all (zero)
         // proper ancestors", i.e. a materialization candidate.
         let candidates: Vec<Keyword> = {
-            let mut ws: Vec<Keyword> = index
-                .docs
-                .iter()
-                .flat_map(|d| d.keywords().iter().copied())
-                .collect();
+            let mut ws: Vec<Keyword> = index.docs.iter().flatten().copied().collect();
             ws.sort_unstable();
             ws.dedup();
             ws
@@ -189,7 +193,7 @@ impl<P: Partitioner> TransformedIndex<P> {
         let tau = (weight as f64).powf(1.0 - 1.0 / self.k as f64);
         let mut counts: FxHashMap<Keyword, u64> = FxHashMap::default();
         for &o in pivots.iter().chain(children.iter().flat_map(|(_, c)| c)) {
-            for &w in self.docs[o as usize].keywords() {
+            for &w in self.docs.doc(o as usize) {
                 *counts.entry(w).or_insert(0) += 1;
             }
         }
@@ -220,7 +224,7 @@ impl<P: Partitioner> TransformedIndex<P> {
             small_set.sort_unstable();
             for (_, child_objs) in &children {
                 for &o in child_objs {
-                    for &w in self.docs[o as usize].keywords() {
+                    for &w in self.docs.doc(o as usize) {
                         if small_set.binary_search(&w).is_ok() {
                             materialized.entry(w).or_default().push(o);
                         }
@@ -238,7 +242,7 @@ impl<P: Partitioner> TransformedIndex<P> {
                 let mut local: Vec<u32> = Vec::new();
                 for &o in child_objs {
                     local.clear();
-                    for &w in self.docs[o as usize].keywords() {
+                    for &w in self.docs.doc(o as usize) {
                         if let Some(&lid) = large.get(&w) {
                             local.push(lid);
                         }
@@ -290,6 +294,14 @@ impl<P: Partitioner> TransformedIndex<P> {
     /// The partitioner (and through it, the indexed coordinates).
     pub fn partitioner(&self) -> &P {
         &self.partitioner
+    }
+
+    /// Mutable access to the partitioner, for snapshot loaders that
+    /// swap its coordinates for an equal shared copy. The tree is not
+    /// rebuilt: changing what the partitioner splits on afterwards
+    /// has no effect on it.
+    pub(crate) fn partitioner_mut(&mut self) -> &mut P {
+        &mut self.partitioner
     }
 
     /// Index space in 64-bit words: tree skeleton, pivot ids, large
@@ -361,15 +373,15 @@ impl<P: Partitioner> TransformedIndex<P> {
         sink: &mut S,
         stats: &mut QueryStats,
     ) -> ControlFlow<()> {
-        let mut kws = keywords.to_vec();
-        kws.sort_unstable();
-        kws.dedup();
+        let mut buf = [0; 16];
+        let kws = canonical_keywords(keywords, &mut buf);
         assert_eq!(
-            kws.len(),
-            self.k,
+            kws.map(<[Keyword]>::len),
+            Some(self.k),
             "the index was built for exactly {} distinct keywords",
             self.k
         );
+        let kws = kws.unwrap_or_default();
         if sink.is_full() {
             return ControlFlow::Break(());
         }
@@ -377,7 +389,7 @@ impl<P: Partitioner> TransformedIndex<P> {
         if root_region == Region::Disjoint {
             return ControlFlow::Continue(());
         }
-        self.visit(0, root_region, &kws, classify, accept, sink, stats)
+        self.visit(0, root_region, kws, classify, accept, sink, stats)
     }
 
     // The recursion threads every traversal input (region, keyword
@@ -408,7 +420,7 @@ impl<P: Partitioner> TransformedIndex<P> {
         // Scan the pivot set (every visit does; §3.3 "to visit a node").
         for &e in &node.pivots {
             stats.pivot_scans += 1;
-            if self.docs[e as usize].contains_all(kws) && accept(e) {
+            if self.docs.has_all(e as usize, kws) && accept(e) {
                 stats.reported += 1;
                 sink.emit(e)?;
             }
@@ -455,15 +467,30 @@ impl<P: Partitioner> TransformedIndex<P> {
             // here (it was large at every ancestor, or we would not have
             // descended). Scan the shortest such list.
             stats.small_path_nodes += 1;
-            let list: &[u32] = kws
+            let Some((own, list)) = kws
                 .iter()
                 .filter(|w| !node.large.contains_key(w))
-                .map(|w| node.materialized.get(w).map(Vec::as_slice).unwrap_or(&[]))
-                .min_by_key(|l| l.len())
-                .unwrap_or(&[]);
+                .map(|&w| {
+                    let list = node.materialized.get(&w).map(Vec::as_slice);
+                    (w, list.unwrap_or(&[]))
+                })
+                .min_by_key(|(_, l)| l.len())
+            else {
+                return ControlFlow::Continue(());
+            };
+            // Every entry of `materialized[own]` contains `own` (the
+            // deep validator checks it), so only the other k − 1
+            // keywords need testing.
+            let mut rest_buf = [0; 16];
+            let mut rest_len = 0;
+            for &w in kws.iter().filter(|&&w| w != own) {
+                rest_buf[rest_len] = w;
+                rest_len += 1;
+            }
+            let rest = &rest_buf[..rest_len];
             for &e in list {
                 stats.list_scans += 1;
-                if self.docs[e as usize].contains_all(kws) && accept(e) {
+                if self.docs.has_all(e as usize, rest) && accept(e) {
                     stats.reported += 1;
                     sink.emit(e)?;
                 }
@@ -555,6 +582,21 @@ impl<P: Partitioner> TransformedIndex<P> {
             .map_err(|d| V::new("framework::section3", d))?;
         let n = self.docs.len();
 
+        // Documents: well-formed CSR (monotone offsets; every row
+        // non-empty, sorted, deduplicated), one row per indexed object,
+        // each row as long as its object's verbose weight.
+        self.docs
+            .check()
+            .map_err(|d| V::new("framework::documents", d))?;
+        if let Some(o) =
+            (0..n).find(|&o| self.partitioner.weight(o as u32) != self.docs.doc(o).len() as u64)
+        {
+            return Err(V::new(
+                "framework::documents",
+                format!("object {o}: weight differs from its document length"),
+            ));
+        }
+
         // Tree shape: child ids in range, every non-root node the child
         // of exactly one parent, levels increasing by one, child cells
         // nested in their parent's (when the cell type can answer).
@@ -645,7 +687,7 @@ impl<P: Partitioner> TransformedIndex<P> {
                             format!("node {i}: id {e} out of range in the list of keyword {w}"),
                         ));
                     }
-                    if !self.docs[e as usize].contains_all(&[w]) {
+                    if !self.docs.has_all(e as usize, &[w]) {
                         return Err(V::new(
                             "framework::materialized",
                             format!(
@@ -663,7 +705,7 @@ impl<P: Partitioner> TransformedIndex<P> {
 impl Persist for TransformedIndex<KdPartitioner> {
     fn to_pages(&self, w: &mut persist::PageWriter) -> Result<(), SkqError> {
         let points = self.partitioner.points();
-        let dim = self.partitioner.dim();
+        let dim = points.dim();
         let n = points.len();
         let mut head = Vec::new();
         persist::put_uv(&mut head, self.k as u64);
@@ -673,13 +715,18 @@ impl Persist for TransformedIndex<KdPartitioner> {
         persist::put_uv(&mut head, dim as u64);
         persist::put_uv(&mut head, self.nodes.len() as u64);
         w.page(persist::kind::TREE_HEAD, SCHEMA_VERSION, head);
-        persist::put_point_pages(w, persist::kind::TREE_POINTS, points, dim);
+        persist::put_point_pages(
+            w,
+            persist::kind::TREE_POINTS,
+            dim,
+            points.as_slice().chunks(dim),
+        );
         let mut weights = Vec::with_capacity(n);
         for &wt in self.partitioner.weights() {
             persist::put_uv(&mut weights, wt);
         }
         w.page(persist::kind::TREE_WEIGHTS, SCHEMA_VERSION, weights);
-        persist::put_doc_pages(w, persist::kind::TREE_DOCS, &self.docs);
+        persist::put_doc_pages(w, persist::kind::TREE_DOCS, self.docs.iter());
         for chunk in self.nodes.chunks(NODES_PER_PAGE) {
             let mut buf = Vec::new();
             for node in chunk {
@@ -713,14 +760,14 @@ impl Persist for TransformedIndex<KdPartitioner> {
         if node_count == 0 {
             return Err(fail("tree has zero nodes".into()));
         }
-        let points = persist::read_point_pages(r, persist::kind::TREE_POINTS, section, n, dim)?;
-        for (i, p) in points.iter().enumerate() {
-            for d in 0..dim {
-                if !p.get(d).is_finite() {
-                    return Err(fail(format!("point {i} has a non-finite coordinate")));
-                }
-            }
+        let coords = persist::read_point_pages(r, persist::kind::TREE_POINTS, section, n, dim)?;
+        if let Some(at) = coords.iter().position(|c| !c.is_finite()) {
+            return Err(fail(format!(
+                "point {} has a non-finite coordinate",
+                at / dim
+            )));
         }
+        let points = FlatPoints::try_from_coords(coords, dim).map_err(fail)?;
         let mut wdec = r.page(persist::kind::TREE_WEIGHTS, SCHEMA_VERSION, section)?;
         let mut weights = Vec::with_capacity(n);
         for i in 0..n {
@@ -744,9 +791,9 @@ impl Persist for TransformedIndex<KdPartitioner> {
             d.end()?;
             remaining -= in_page;
         }
-        // `new` cannot panic here: points are non-empty with consistent
-        // dimensionality by decoding, and every weight is positive.
-        let partitioner = KdPartitioner::new(points, weights);
+        // `over` cannot panic here: there are `n` points and `n`
+        // weights by decoding, and every weight is positive.
+        let partitioner = KdPartitioner::over(points, weights);
         Ok(Self {
             partitioner,
             docs,
@@ -756,6 +803,32 @@ impl Persist for TransformedIndex<KdPartitioner> {
             total_weight,
         })
     }
+}
+
+/// The ascending, duplicate-free form of `keywords`, without
+/// allocating: `keywords` itself when it is already canonical (the
+/// suite's dispatch hands over canonical sets), otherwise a sorted
+/// copy in `buf`. `None` if there are more than 16 distinct keywords,
+/// more than any index supports.
+fn canonical_keywords<'a>(
+    keywords: &'a [Keyword],
+    buf: &'a mut [Keyword; 16],
+) -> Option<&'a [Keyword]> {
+    if keywords.windows(2).all(|p| p[0] < p[1]) {
+        return Some(keywords);
+    }
+    let mut len = 0;
+    for &w in keywords {
+        if let Err(at) = buf[..len].binary_search(&w) {
+            if len == buf.len() {
+                return None;
+            }
+            buf.copy_within(at..len, at + 1);
+            buf[at] = w;
+            len += 1;
+        }
+    }
+    Some(&buf[..len])
 }
 
 /// Nodes per `TREE_NODES` page.
@@ -964,7 +1037,7 @@ mod tests {
         let weights: Vec<u64> = docs.iter().map(|d| d.len() as u64).collect();
         TransformedIndex::build(
             KdPartitioner::new(points, weights),
-            docs,
+            &docs,
             k,
             FrameworkConfig { leaf_weight },
         )
@@ -1136,6 +1209,24 @@ mod tests {
     }
 
     #[test]
+    fn keywords_canonicalise_on_the_stack() {
+        let mut buf = [0; 16];
+        let got = canonical_keywords(&[5, 1, 5, 3], &mut buf);
+        assert_eq!(got, Some(&[1, 3, 5][..]));
+        let canonical = [1, 2];
+        let got = canonical_keywords(&canonical, &mut buf).unwrap();
+        assert!(
+            std::ptr::eq(got, &canonical[..]),
+            "canonical input is used as is"
+        );
+        let repeats: Vec<Keyword> = (0..40).map(|i| i % 3).collect();
+        let got = canonical_keywords(&repeats, &mut buf);
+        assert_eq!(got, Some(&[0, 1, 2][..]));
+        let too_many: Vec<Keyword> = (0..17).rev().collect();
+        assert_eq!(canonical_keywords(&too_many, &mut buf), None);
+    }
+
+    #[test]
     #[should_panic(expected = "k >= 2")]
     fn k1_rejected() {
         let _ = build_1d(vec![vec![0]], 1, 4);
@@ -1218,7 +1309,7 @@ mod tests {
             // Object 0's document is {0, 4}: listing it under any other
             // keyword contradicts the list's definition.
             let foreign = (0..96u32)
-                .find(|&e| !t.docs[e as usize].contains_all(&[w]))
+                .find(|&e| !t.docs.has_all(e as usize, &[w]))
                 .unwrap();
             t.nodes[node]
                 .materialized
@@ -1229,6 +1320,19 @@ mod tests {
                 t.validate().unwrap_err().invariant(),
                 "framework::materialized"
             );
+        }
+
+        #[test]
+        fn foreign_documents_name_documents() {
+            let mut t = tree();
+            // Well-formed CSR rows, but object 0's row no longer has
+            // the length its verbose weight records.
+            let mut docs: Vec<Document> =
+                t.docs.iter().map(|d| Document::new(d.to_vec())).collect();
+            docs[0] = Document::new(vec![0, 1, 2, 3, 4, 5, 6]);
+            t.docs = CsrDocs::from_docs(&docs);
+            let v = t.validate().unwrap_err();
+            assert_eq!(v.invariant(), "framework::documents");
         }
     }
 }

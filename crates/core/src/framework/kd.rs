@@ -8,16 +8,17 @@
 //! median selection are broken lexicographically by object id, the
 //! implementation counterpart of the paper's rank-space Step 4.
 
-use skq_geom::{Point, Rect};
+use skq_geom::{FlatPoints, Point, Rect};
 
 use super::partitioner::{Partitioner, SplitOutcome};
 
 /// Weighted kd-tree splits with rectangle cells.
 #[derive(Debug)]
 pub struct KdPartitioner {
-    points: Vec<Point>,
+    /// Dim-strided coordinates. For ORP-KW these are the rank space's
+    /// own storage, shared rather than copied.
+    points: FlatPoints,
     weights: Vec<u64>,
-    dim: usize,
 }
 
 impl KdPartitioner {
@@ -30,30 +31,43 @@ impl KdPartitioner {
     /// dimensions, or zero weights.
     pub fn new(points: Vec<Point>, weights: Vec<u64>) -> Self {
         assert!(!points.is_empty(), "kd partitioner needs points");
+        Self::over(FlatPoints::from_points(&points), weights)
+    }
+
+    /// Creates a partitioner over flat `points`, sharing their storage.
+    ///
+    /// # Panics
+    ///
+    /// Panics on mismatched lengths or zero weights.
+    pub fn over(points: FlatPoints, weights: Vec<u64>) -> Self {
         assert_eq!(points.len(), weights.len());
-        let dim = points[0].dim();
-        assert!(points.iter().all(|p| p.dim() == dim));
         assert!(weights.iter().all(|&w| w > 0), "documents are non-empty");
-        Self {
-            points,
-            weights,
-            dim,
-        }
+        Self { points, weights }
     }
 
     /// The indexed points.
-    pub fn points(&self) -> &[Point] {
+    pub fn points(&self) -> &FlatPoints {
         &self.points
     }
 
-    /// The point of object `i`.
-    pub fn point(&self, i: u32) -> &Point {
-        &self.points[i as usize]
+    /// Replaces the coordinates with `points` if they are equal,
+    /// dropping this partitioner's copy in favour of the shared one.
+    ///
+    /// # Errors
+    ///
+    /// A description of the mismatch if `points` differs from the
+    /// indexed coordinates.
+    pub fn share_points(&mut self, points: &FlatPoints) -> Result<(), String> {
+        if *points != self.points {
+            return Err("kd-tree points differ from the coordinates offered for sharing".into());
+        }
+        self.points = points.clone();
+        Ok(())
     }
 
     /// The dimensionality.
     pub fn dim(&self) -> usize {
-        self.dim
+        self.points.dim()
     }
 
     /// The per-object weights (exposed for the snapshot encoder).
@@ -66,7 +80,7 @@ impl Partitioner for KdPartitioner {
     type Cell = Rect;
 
     fn root_cell(&self) -> Rect {
-        Rect::full(self.dim)
+        Rect::full(self.dim())
     }
 
     fn split(&self, cell: &Rect, objects: &[u32], depth: usize) -> Option<SplitOutcome<Rect>> {
@@ -76,7 +90,8 @@ impl Partitioner for KdPartitioner {
         // Prefer the level's axis; if every object sits on the split
         // hyperplane there, fall through the remaining axes (degenerate
         // inputs such as duplicated points).
-        (0..self.dim).find_map(|alt| self.try_axis(cell, objects, (depth + alt) % self.dim))
+        let dim = self.dim();
+        (0..dim).find_map(|alt| self.try_axis(cell, objects, (depth + alt) % dim))
     }
 
     fn weight(&self, obj: u32) -> u64 {
@@ -95,12 +110,8 @@ impl Partitioner for KdPartitioner {
 impl KdPartitioner {
     fn try_axis(&self, cell: &Rect, objects: &[u32], axis: usize) -> Option<SplitOutcome<Rect>> {
         let mut order: Vec<u32> = objects.to_vec();
-        order.sort_unstable_by(|&a, &b| {
-            self.points[a as usize]
-                .get(axis)
-                .total_cmp(&self.points[b as usize].get(axis))
-                .then(a.cmp(&b))
-        });
+        let coord = |o: u32| self.points.get(o as usize, axis);
+        order.sort_unstable_by(|&a, &b| coord(a).total_cmp(&coord(b)).then(a.cmp(&b)));
 
         // Weighted median: the minimal prefix reaching half the weight.
         let total: u64 = order.iter().map(|&o| self.weights[o as usize]).sum();
@@ -113,7 +124,7 @@ impl KdPartitioner {
                 break;
             }
         }
-        let split_coord = self.points[order[median_pos] as usize].get(axis);
+        let split_coord = coord(order[median_pos]);
 
         // Pivot set: every object on the split hyperplane (§3.2 — the
         // objects on the child-cell boundary). In rank space this is a
@@ -122,7 +133,7 @@ impl KdPartitioner {
         let mut left = Vec::new();
         let mut right = Vec::new();
         for &o in &order {
-            let c = self.points[o as usize].get(axis);
+            let c = coord(o);
             if c < split_coord {
                 left.push(o);
             } else if c > split_coord {

@@ -11,7 +11,7 @@
 //! practitioners accept for cheaper construction and cache-regular
 //! cells.
 
-use skq_geom::{Point, Rect};
+use skq_geom::{FlatPoints, Point, Rect};
 
 use super::partitioner::{Partitioner, SplitOutcome};
 
@@ -22,7 +22,7 @@ const MAX_DEPTH: usize = 48;
 /// Midpoint quadtree splits (2D) with rectangle cells.
 #[derive(Debug)]
 pub struct QuadPartitioner {
-    points: Vec<Point>,
+    points: FlatPoints,
     weights: Vec<u64>,
     /// Root bounding box of the data (the paper's root cell is all of
     /// `R²`; a bounding box is equivalent for point data and makes
@@ -39,15 +39,25 @@ impl QuadPartitioner {
     /// zero weights.
     pub fn new(points: Vec<Point>, weights: Vec<u64>) -> Self {
         assert!(!points.is_empty(), "quadtree needs points");
-        assert!(points.iter().all(|p| p.dim() == 2), "quadtree cells are 2D");
+        Self::over(FlatPoints::from_points(&points), weights)
+    }
+
+    /// Creates a partitioner over flat 2D `points`, sharing their
+    /// storage.
+    ///
+    /// # Panics
+    ///
+    /// Panics on non-2D points, mismatched lengths, or zero weights.
+    pub fn over(points: FlatPoints, weights: Vec<u64>) -> Self {
+        assert_eq!(points.dim(), 2, "quadtree cells are 2D");
         assert_eq!(points.len(), weights.len());
         assert!(weights.iter().all(|&w| w > 0));
         let mut lo = [f64::INFINITY; 2];
         let mut hi = [f64::NEG_INFINITY; 2];
-        for p in &points {
+        for p in points.as_slice().chunks(2) {
             for d in 0..2 {
-                lo[d] = lo[d].min(p.get(d));
-                hi[d] = hi[d].max(p.get(d));
+                lo[d] = lo[d].min(p[d]);
+                hi[d] = hi[d].max(p[d]);
             }
         }
         // Pad so no point sits exactly on the root boundary midlines in
@@ -84,9 +94,8 @@ impl Partitioner for QuadPartitioner {
         // pivots are needed — the quadtree variant of the boundary rule.
         let mut quads: [Vec<u32>; 4] = Default::default();
         for &o in objects {
-            let p = &self.points[o as usize];
-            let qx = usize::from(p.get(0) > mx);
-            let qy = usize::from(p.get(1) > my);
+            let qx = usize::from(self.points.get(o as usize, 0) > mx);
+            let qy = usize::from(self.points.get(o as usize, 1) > my);
             quads[qy * 2 + qx].push(o);
         }
         if quads.iter().filter(|q| !q.is_empty()).count() < 2 {

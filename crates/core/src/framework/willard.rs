@@ -18,7 +18,7 @@
 //! Objects falling exactly on either splitting line form the node's
 //! pivot set, exactly like the kd instantiation.
 
-use skq_geom::{Point, Polygon};
+use skq_geom::{FlatPoints, Point, Polygon};
 
 use super::partitioner::{Partitioner, SplitOutcome};
 
@@ -28,7 +28,7 @@ const HS_ITERS: usize = 48;
 /// 2D partition-tree splits with convex polygon cells.
 #[derive(Debug)]
 pub struct WillardPartitioner {
-    points: Vec<(f64, f64)>,
+    points: FlatPoints,
     weights: Vec<u64>,
     /// Bounding box (padded) from which all cells are clipped.
     bbox: (f64, f64, f64, f64),
@@ -43,12 +43,22 @@ impl WillardPartitioner {
     /// zero weights.
     pub fn new(points: Vec<Point>, weights: Vec<u64>) -> Self {
         assert!(!points.is_empty(), "partition tree needs points");
-        assert!(points.iter().all(|p| p.dim() == 2), "Willard cells are 2D");
+        Self::over(FlatPoints::from_points(&points), weights)
+    }
+
+    /// Creates a partitioner over flat 2D `points`, sharing their
+    /// storage.
+    ///
+    /// # Panics
+    ///
+    /// Panics on non-2D points, mismatched lengths, or zero weights.
+    pub fn over(points: FlatPoints, weights: Vec<u64>) -> Self {
+        assert_eq!(points.dim(), 2, "Willard cells are 2D");
         assert_eq!(points.len(), weights.len());
         assert!(weights.iter().all(|&w| w > 0));
-        let xy: Vec<(f64, f64)> = points.iter().map(|p| (p.get(0), p.get(1))).collect();
         let (mut x0, mut y0, mut x1, mut y1) = (f64::MAX, f64::MAX, f64::MIN, f64::MIN);
-        for &(x, y) in &xy {
+        for p in points.as_slice().chunks(2) {
+            let (x, y) = (p[0], p[1]);
             x0 = x0.min(x);
             y0 = y0.min(y);
             x1 = x1.max(x);
@@ -56,15 +66,23 @@ impl WillardPartitioner {
         }
         let pad = ((x1 - x0) + (y1 - y0)).max(1.0);
         Self {
-            points: xy,
+            points,
             weights,
             bbox: (x0 - pad, y0 - pad, x1 + pad, y1 + pad),
         }
     }
 
-    /// The indexed coordinates.
-    pub fn coords(&self) -> &[(f64, f64)] {
+    /// The indexed points.
+    pub fn points(&self) -> &FlatPoints {
         &self.points
+    }
+
+    /// The `(x, y)` coordinates of object `o`.
+    fn xy(&self, o: u32) -> (f64, f64) {
+        (
+            self.points.get(o as usize, 0),
+            self.points.get(o as usize, 1),
+        )
     }
 
     /// Weighted median of `objs` under the key `key`, with ties broken
@@ -96,7 +114,7 @@ impl WillardPartitioner {
     fn hs_evaluate(&self, a: &[u32], b: &[u32], theta: f64) -> ((f64, f64), f64, i128) {
         let n = (-theta.sin(), theta.cos());
         let proj = |o: u32| {
-            let (x, y) = self.points[o as usize];
+            let (x, y) = self.xy(o);
             n.0 * x + n.1 * y
         };
         let (order, pos) = self.weighted_median_by(a, proj);
@@ -172,13 +190,13 @@ impl Partitioner for WillardPartitioner {
         }
 
         // --- Line 1: vertical weighted x-median. ---
-        let (order, pos) = self.weighted_median_by(objects, |o| self.points[o as usize].0);
-        let xm = self.points[order[pos] as usize].0;
+        let (order, pos) = self.weighted_median_by(objects, |o| self.xy(o).0);
+        let xm = self.xy(order[pos]).0;
         let mut pivots: Vec<u32> = Vec::new();
         let mut a: Vec<u32> = Vec::new(); // x < xm
         let mut b: Vec<u32> = Vec::new(); // x > xm
         for &o in &order {
-            let x = self.points[o as usize].0;
+            let x = self.xy(o).0;
             if x < xm {
                 a.push(o);
             } else if x > xm {
@@ -189,13 +207,13 @@ impl Partitioner for WillardPartitioner {
         }
         if a.is_empty() && b.is_empty() {
             // All objects on the vertical line: split by y instead.
-            let (order, pos) = self.weighted_median_by(objects, |o| self.points[o as usize].1);
-            let ym = self.points[order[pos] as usize].1;
+            let (order, pos) = self.weighted_median_by(objects, |o| self.xy(o).1);
+            let ym = self.xy(order[pos]).1;
             let mut pivots = Vec::new();
             let mut lo = Vec::new();
             let mut hi = Vec::new();
             for &o in &order {
-                let y = self.points[o as usize].1;
+                let y = self.xy(o).1;
                 if y < ym {
                     lo.push(o);
                 } else if y > ym {
@@ -240,7 +258,7 @@ impl Partitioner for WillardPartitioner {
             let mut below = Vec::new();
             let mut above = Vec::new();
             for o in objs {
-                let (x, y) = self.points[o as usize];
+                let (x, y) = self.xy(o);
                 let p = nx * x + ny * y;
                 if p < c {
                     below.push(o);
@@ -357,7 +375,7 @@ mod tests {
         let count = |objs: &[u32]| {
             objs.iter()
                 .filter(|&&o| {
-                    let (x, y) = p.points[o as usize];
+                    let (x, y) = p.xy(o);
                     nx * x + ny * y < c
                 })
                 .count()

@@ -16,7 +16,7 @@
 
 use std::ops::ControlFlow;
 
-use skq_geom::{Point, Region};
+use skq_geom::{FlatPoints, Region};
 use skq_invidx::{Document, Keyword};
 
 use crate::error::{validate, SkqError};
@@ -67,11 +67,11 @@ impl KsiIndex {
                 "cannot index an empty set family".into(),
             ));
         }
-        let points: Vec<Point> = (0..docs.len()).map(|i| Point::new1(i as f64)).collect();
+        let ids: Vec<f64> = (0..docs.len()).map(|i| i as f64).collect();
+        let points = FlatPoints::try_from_coords(ids, 1).map_err(SkqError::InvalidDataset)?;
         let weights: Vec<u64> = docs.iter().map(|d| d.len() as u64).collect();
-        let partitioner = KdPartitioner::new(points, weights);
-        let tree =
-            TransformedIndex::try_build(partitioner, docs.to_vec(), k, FrameworkConfig::default())?;
+        let partitioner = KdPartitioner::over(points, weights);
+        let tree = TransformedIndex::try_build(partitioner, docs, k, FrameworkConfig::default())?;
         Ok(Self { tree })
     }
 

@@ -83,12 +83,13 @@ impl OrpKwIndex {
         let dim = dataset.dim();
         let inner = if dim <= 2 {
             let rank = RankSpace::build(dataset.points());
-            let rank_points = (0..dataset.len()).map(|i| rank.point(i)).collect();
             let weights = (0..dataset.len()).map(|i| dataset.weight(i)).collect();
-            let partitioner = KdPartitioner::new(rank_points, weights);
+            // The tree splits on the rank space's own coordinates: one
+            // flat copy per index.
+            let partitioner = KdPartitioner::over(rank.ranks().clone(), weights);
             let tree = TransformedIndex::try_build(
                 partitioner,
-                dataset.docs().to_vec(),
+                dataset.docs(),
                 k,
                 FrameworkConfig::default(),
             )?;
@@ -207,7 +208,7 @@ impl OrpKwIndex {
                 tree.query_sink(
                     keywords,
                     &|cell| rq.classify(cell),
-                    &|o| rq.contains(&rank.point(o as usize)),
+                    &|o| rank.contains(&rq, o as usize),
                     sink,
                     stats,
                 )
@@ -335,7 +336,7 @@ impl Persist for OrpKwIndex {
             return Err(fail(format!("unknown orp engine tag {engine}")));
         }
         let rank = RankSpace::from_pages(r)?;
-        let tree = TransformedIndex::<KdPartitioner>::from_pages(r)?;
+        let mut tree = TransformedIndex::<KdPartitioner>::from_pages(r)?;
         if rank.dim() != dim || tree.partitioner().dim() != dim {
             return Err(fail(format!(
                 "dimensionality mismatch: head {dim}, rank {}, tree {}",
@@ -353,6 +354,10 @@ impl Persist for OrpKwIndex {
                 tree.partitioner().points().len()
             )));
         }
+        // The tree's points are the rank-space images; keep one copy.
+        tree.partitioner_mut()
+            .share_points(rank.ranks())
+            .map_err(fail)?;
         Ok(Self {
             inner: Inner::Kd { rank, tree },
             dim,
@@ -392,6 +397,21 @@ mod tests {
             hi.push(a.max(b));
         }
         Rect::new(&lo, &hi)
+    }
+
+    #[test]
+    fn kd_tree_shares_the_rank_coordinates() {
+        let shares = |index: &OrpKwIndex| match &index.inner {
+            Inner::Kd { rank, tree } => std::ptr::eq(
+                tree.partitioner().points().as_slice(),
+                rank.ranks().as_slice(),
+            ),
+            Inner::DimRed(_) => false,
+        };
+        let built = OrpKwIndex::build(&random_dataset(200, 2, 6, 5), 2);
+        assert!(shares(&built), "built index holds two copies");
+        let loaded = OrpKwIndex::try_from_bytes(&built.to_bytes().unwrap()).unwrap();
+        assert!(shares(&loaded), "loaded index holds two copies");
     }
 
     #[test]

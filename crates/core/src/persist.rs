@@ -25,7 +25,7 @@
 use std::io::{Read, Write};
 
 use skq_geom::RankSpace;
-use skq_invidx::{Document, InvertedIndex, Keyword, ObjectId};
+use skq_invidx::{CsrDocs, InvertedIndex, Keyword, ObjectId};
 
 use crate::error::SkqError;
 use crate::failpoints;
@@ -136,8 +136,7 @@ pub fn put_f64(buf: &mut Vec<u8>, x: f64) {
 }
 
 /// Appends a document as `len` + delta-coded ascending keywords.
-pub(crate) fn put_doc(buf: &mut Vec<u8>, doc: &Document) {
-    let kws = doc.keywords();
+pub(crate) fn put_doc(buf: &mut Vec<u8>, kws: &[Keyword]) {
     put_uv(buf, kws.len() as u64);
     let mut prev = 0u64;
     for (i, &w) in kws.iter().enumerate() {
@@ -535,19 +534,22 @@ impl Dec<'_> {
         Ok(f64::from_bits(u64::from_le_bytes(arr)))
     }
 
-    /// Reads a document written by `put_doc`, validating that it is
-    /// non-empty and its keywords fit `u32`.
+    /// Reads a document written by `put_doc`, appending its keywords
+    /// to `kws` and validating that it is non-empty and its keywords
+    /// fit `u32`. Delta coding makes the appended run strictly
+    /// ascending — the normal form of `Document` and of one `CsrDocs`
+    /// row.
     ///
     /// # Errors
     ///
     /// [`SkqError::Corrupted`] on truncation, an empty document, or a
     /// keyword overflowing `u32`.
-    pub(crate) fn doc(&mut self) -> Result<Document, SkqError> {
+    pub(crate) fn doc_into(&mut self, kws: &mut Vec<Keyword>) -> Result<(), SkqError> {
         let n = self.len(1)?;
         if n == 0 {
             return Err(self.fail("document has no keywords"));
         }
-        let mut kws = Vec::with_capacity(n);
+        kws.reserve(n);
         let mut prev: u64 = 0;
         for i in 0..n {
             let delta = self.uv()?;
@@ -557,9 +559,7 @@ impl Dec<'_> {
             kws.push(kw);
             prev = w;
         }
-        // Delta coding guarantees strictly ascending order, which is
-        // exactly `Document::new`'s normal form — no panic possible.
-        Ok(Document::new(kws))
+        Ok(())
     }
 
     /// Asserts the payload is fully consumed.
@@ -664,35 +664,45 @@ pub(crate) const DOCS_PER_PAGE: usize = 4096;
 /// Target payload bytes per `POSTINGS_CHUNK` page.
 const POSTINGS_PAGE_BYTES: usize = 48 * 1024;
 
-/// Encodes `points[chunk]` (all of dimension `dim`) into page payloads
-/// of the given kind.
-pub(crate) fn put_point_pages(
+/// Encodes `points` (coordinate slices, all of length `dim`) into
+/// page payloads of the given kind, [`POINTS_PER_PAGE`] to a page.
+pub(crate) fn put_point_pages<'a>(
     w: &mut PageWriter,
     kind: u16,
-    points: &[skq_geom::Point],
     dim: usize,
+    points: impl ExactSizeIterator<Item = &'a [f64]>,
 ) {
-    for chunk in points.chunks(POINTS_PER_PAGE.max(1)) {
-        let mut buf = Vec::with_capacity(chunk.len() * dim * 8);
-        for p in chunk {
-            for i in 0..dim {
-                put_f64(&mut buf, p.get(i));
-            }
+    let mut left = points.len();
+    let mut buf = Vec::new();
+    let mut in_page = 0;
+    for p in points {
+        debug_assert_eq!(p.len(), dim);
+        if in_page == 0 {
+            buf.reserve_exact(left.min(POINTS_PER_PAGE) * dim * 8);
         }
-        w.page(kind, SCHEMA_VERSION, buf);
+        for &c in p {
+            put_f64(&mut buf, c);
+        }
+        in_page += 1;
+        left -= 1;
+        if in_page == POINTS_PER_PAGE || left == 0 {
+            w.page(kind, SCHEMA_VERSION, std::mem::take(&mut buf));
+            in_page = 0;
+        }
     }
 }
 
 /// Decodes `n` points of dimension `dim` written by
-/// [`put_point_pages`], without constraining coordinate values (the
-/// caller validates finiteness where its invariants require it).
+/// [`put_point_pages`] into one dim-strided coordinate vector, without
+/// constraining coordinate values (the caller validates finiteness
+/// where its invariants require it).
 pub(crate) fn read_point_pages(
     r: &mut PageReader<'_>,
     kind: u16,
     section: &'static str,
     n: usize,
     dim: usize,
-) -> Result<Vec<skq_geom::Point>, SkqError> {
+) -> Result<Vec<f64>, SkqError> {
     if !(1..=skq_geom::MAX_DIM).contains(&dim) {
         return Err(corrupt(
             section,
@@ -702,54 +712,69 @@ pub(crate) fn read_point_pages(
             ),
         ));
     }
-    let mut points = Vec::with_capacity(n.min(1 << 20));
-    let mut coords = [0.0f64; skq_geom::MAX_DIM];
+    let mut coords = Vec::with_capacity(n.min(1 << 20) * dim);
     let mut remaining = n;
     while remaining > 0 {
         let mut d = r.page(kind, SCHEMA_VERSION, section)?;
         let in_page = remaining.min(POINTS_PER_PAGE);
-        for _ in 0..in_page {
-            for c in coords.iter_mut().take(dim) {
-                *c = d.f64()?;
-            }
-            points.push(skq_geom::Point::new(&coords[..dim]));
+        for _ in 0..in_page * dim {
+            coords.push(d.f64()?);
         }
         d.end()?;
         remaining -= in_page;
     }
-    Ok(points)
+    Ok(coords)
 }
 
 /// Encodes `docs` into document pages of the given kind.
-pub(crate) fn put_doc_pages(w: &mut PageWriter, kind: u16, docs: &[Document]) {
-    for chunk in docs.chunks(DOCS_PER_PAGE.max(1)) {
-        let mut buf = Vec::new();
-        for doc in chunk {
-            put_doc(&mut buf, doc);
+pub(crate) fn put_doc_pages<'a>(
+    w: &mut PageWriter,
+    kind: u16,
+    docs: impl Iterator<Item = &'a [Keyword]>,
+) {
+    let mut buf = Vec::new();
+    let mut in_page = 0;
+    for doc in docs {
+        put_doc(&mut buf, doc);
+        in_page += 1;
+        if in_page == DOCS_PER_PAGE {
+            w.page(kind, SCHEMA_VERSION, std::mem::take(&mut buf));
+            in_page = 0;
         }
+    }
+    if in_page > 0 {
         w.page(kind, SCHEMA_VERSION, buf);
     }
 }
 
-/// Decodes `n` documents written by [`put_doc_pages`].
+/// Decodes `n` documents written by [`put_doc_pages`] straight into
+/// CSR form.
 pub(crate) fn read_doc_pages(
     r: &mut PageReader<'_>,
     kind: u16,
     section: &'static str,
     n: usize,
-) -> Result<Vec<Document>, SkqError> {
-    let mut docs = Vec::with_capacity(n.min(1 << 20));
+) -> Result<CsrDocs, SkqError> {
+    let mut offsets = Vec::with_capacity(n.min(1 << 20) + 1);
+    let mut keywords = Vec::new();
+    offsets.push(0u32);
     let mut remaining = n;
     while remaining > 0 {
         let mut d = r.page(kind, SCHEMA_VERSION, section)?;
         let in_page = remaining.min(DOCS_PER_PAGE);
         for _ in 0..in_page {
-            docs.push(d.doc()?);
+            d.doc_into(&mut keywords)?;
+            let end = u32::try_from(keywords.len())
+                .map_err(|_| corrupt(section, "documents overflow the u32 keyword offsets"))?;
+            offsets.push(end);
         }
         d.end()?;
         remaining -= in_page;
     }
-    Ok(docs)
+    keywords.shrink_to_fit();
+    // Decoding already yields non-empty, strictly ascending rows; the
+    // check is the CSR's own statement of that.
+    CsrDocs::try_from_parts(offsets, keywords).map_err(|e| corrupt(section, e))
 }
 
 impl Persist for InvertedIndex {

@@ -12,7 +12,7 @@
 
 use std::ops::ControlFlow;
 
-use skq_geom::{ConvexPolytope, Point, Simplex};
+use skq_geom::{ConvexPolytope, FlatPoints, Simplex};
 use skq_invidx::Keyword;
 
 use crate::dataset::Dataset;
@@ -70,7 +70,8 @@ enum Inner {
 /// ```
 pub struct SpKwIndex {
     inner: Inner,
-    points: Vec<Point>,
+    /// The indexed points; the partitioner shares this storage.
+    points: FlatPoints,
     dim: usize,
     k: usize,
 }
@@ -149,9 +150,9 @@ impl SpKwIndex {
     ) -> Result<Self, SkqError> {
         validate::build_k(k)?;
         failpoints::check("sp::build")?;
-        let points = dataset.points().to_vec();
+        let points = FlatPoints::from_points(dataset.points());
         let weights: Vec<u64> = (0..dataset.len()).map(|i| dataset.weight(i)).collect();
-        let docs = dataset.docs().to_vec();
+        let docs = dataset.docs();
         let config = FrameworkConfig::default();
         let inner = match strategy {
             SpStrategy::Willard => {
@@ -160,11 +161,11 @@ impl SpKwIndex {
                         "the Willard partition tree is 2D".into(),
                     ));
                 }
-                let p = WillardPartitioner::new(points.clone(), weights);
+                let p = WillardPartitioner::over(points.clone(), weights);
                 Inner::Willard(TransformedIndex::try_build(p, docs, k, config)?)
             }
             SpStrategy::Kd => {
-                let p = KdPartitioner::new(points.clone(), weights);
+                let p = KdPartitioner::over(points.clone(), weights);
                 Inner::Kd(TransformedIndex::try_build(p, docs, k, config)?)
             }
             SpStrategy::Quad => {
@@ -173,7 +174,7 @@ impl SpKwIndex {
                         "the quadtree partitioner is 2D".into(),
                     ));
                 }
-                let p = QuadPartitioner::new(points.clone(), weights);
+                let p = QuadPartitioner::over(points.clone(), weights);
                 Inner::Quad(TransformedIndex::try_build(p, docs, k, config)?)
             }
         };
@@ -278,7 +279,7 @@ impl SpKwIndex {
         if let Some(d) = q.dim() {
             assert_eq!(d, self.dim, "query dimension mismatch");
         }
-        let accept = |o: u32| q.contains(&self.points[o as usize]);
+        let accept = |o: u32| q.contains(&self.points.point(o as usize));
         match &self.inner {
             Inner::Willard(tree) => tree.query_sink(
                 keywords,
@@ -360,7 +361,7 @@ impl SpKwIndex {
     /// The stored point set, exposed so lifting-based wrappers (SRP-KW)
     /// can cross-check their lifted coordinates during deep validation.
     #[cfg(feature = "debug-invariants")]
-    pub(crate) fn validate_points(&self) -> &[Point] {
+    pub(crate) fn validate_points(&self) -> &FlatPoints {
         &self.points
     }
 
@@ -372,12 +373,12 @@ impl SpKwIndex {
     #[cfg(feature = "debug-invariants")]
     pub fn validate(&self) -> Result<(), crate::invariants::InvariantViolation> {
         use crate::invariants::InvariantViolation as V;
-        if let Some(p) = self.points.iter().find(|p| p.dim() != self.dim) {
+        if self.points.dim() != self.dim {
             return Err(V::new(
                 "sp::points",
                 format!(
-                    "stored point of dimension {}, index is {}D",
-                    p.dim(),
+                    "stored points of dimension {}, index is {}D",
+                    self.points.dim(),
                     self.dim
                 ),
             ));
@@ -406,7 +407,7 @@ impl Persist for SpKwIndex {
                 persist::put_uv(&mut head, self.dim as u64);
                 persist::put_uv(&mut head, self.k as u64);
                 w.page(persist::kind::SP_HEAD, SCHEMA_VERSION, head);
-                // `points` is the same vector the kd partitioner holds
+                // `points` is the storage the kd partitioner shares
                 // (see `try_build_with_strategy`), so the tree section
                 // already carries it — no separate point pages.
                 tree.to_pages(w)
@@ -445,7 +446,7 @@ impl Persist for SpKwIndex {
         if tree.k() != k {
             return Err(fail(format!("head k = {k}, tree k = {}", tree.k())));
         }
-        let points = tree.partitioner().points().to_vec();
+        let points = tree.partitioner().points().clone();
         Ok(Self {
             inner: Inner::Kd(tree),
             points,
@@ -459,7 +460,7 @@ impl Persist for SpKwIndex {
 mod tests {
     use super::*;
     use rand::{rngs::StdRng, Rng, SeedableRng};
-    use skq_geom::Halfspace;
+    use skq_geom::{Halfspace, Point};
 
     fn random_dataset(n: usize, dim: usize, vocab: u32, seed: u64) -> Dataset {
         let mut rng = StdRng::seed_from_u64(seed);

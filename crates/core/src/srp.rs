@@ -245,9 +245,11 @@ impl SrpKwIndex {
                 ),
             ));
         }
-        for (i, p) in self.sp.validate_points().iter().enumerate() {
-            let norm: f64 = (0..self.dim).map(|j| p.get(j) * p.get(j)).sum();
-            let stored = p.get(self.dim);
+        let points = self.sp.validate_points();
+        for i in 0..points.len() {
+            let p = points.coords(i);
+            let norm: f64 = p[..self.dim].iter().map(|c| c * c).sum();
+            let stored = p[self.dim];
             if (stored - norm).abs() > 1e-9 * norm.max(1.0) {
                 return Err(V::new(
                     "srp::lifting",

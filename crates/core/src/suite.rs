@@ -12,8 +12,8 @@
 
 use std::ops::ControlFlow;
 
-use skq_geom::Rect;
-use skq_invidx::{InvertedIndex, Keyword};
+use skq_geom::{FlatPoints, Rect};
+use skq_invidx::{CsrDocs, InvertedIndex, Keyword};
 
 use crate::dataset::Dataset;
 use crate::error::{validate, SkqError};
@@ -48,7 +48,10 @@ pub struct OrpKwSuite {
     /// `indexes[i]` serves `k = i + 2`.
     indexes: Vec<OrpKwIndex>,
     inv: InvertedIndex,
-    dataset: Dataset,
+    /// The object set in flat form: the `k = 0` and `k = 1` routes scan
+    /// these coordinates, the post-filter route these documents.
+    points: FlatPoints,
+    docs: CsrDocs,
     k_max: usize,
 }
 
@@ -84,7 +87,8 @@ impl OrpKwSuite {
         Ok(Self {
             indexes,
             inv: InvertedIndex::build(dataset.docs()),
-            dataset: dataset.clone(),
+            points: FlatPoints::from_points(dataset.points()),
+            docs: CsrDocs::from_docs(dataset.docs()),
             k_max,
         })
     }
@@ -96,18 +100,18 @@ impl OrpKwSuite {
 
     /// Dimensionality of the indexed points.
     pub fn dim(&self) -> usize {
-        self.dataset.dim()
+        self.points.dim()
     }
 
     /// Number of indexed objects.
     pub fn len(&self) -> usize {
-        self.dataset.len()
+        self.points.len()
     }
 
     /// Whether the suite indexes no objects (never true: datasets are
     /// non-empty by construction).
     pub fn is_empty(&self) -> bool {
-        self.dataset.len() == 0
+        self.points.is_empty()
     }
 
     /// Reports all objects in `q` containing all of `keywords`
@@ -153,7 +157,7 @@ impl OrpKwSuite {
         keywords: &[Keyword],
         out: &mut Vec<u32>,
     ) -> Result<(), SkqError> {
-        validate::rect_query(q, self.dataset.dim())?;
+        validate::rect_query(q, self.dim())?;
         out.extend(self.query(q, keywords));
         Ok(())
     }
@@ -233,7 +237,7 @@ impl OrpKwSuite {
         keywords: &[Keyword],
         guard: &QueryGuard,
     ) -> Result<(Vec<u32>, QueryStats), SkqError> {
-        validate::rect_query(q, self.dataset.dim())?;
+        validate::rect_query(q, self.dim())?;
         let (ids, stats) = self.query_guarded(q, keywords, guard);
         match stats.truncated_reason {
             Some(crate::stats::TruncatedReason::DeadlineExceeded) => {
@@ -256,9 +260,9 @@ impl OrpKwSuite {
         match kws.len() {
             0 => {
                 let mut flow = ControlFlow::Continue(());
-                for i in 0..self.dataset.len() as u32 {
+                for i in 0..self.points.len() as u32 {
                     stats.pivot_scans += 1;
-                    if q.contains(self.dataset.point(i as usize)) {
+                    if self.points.contains(q, i as usize) {
                         stats.reported += 1;
                         if sink.emit(i).is_break() {
                             flow = ControlFlow::Break(());
@@ -272,7 +276,7 @@ impl OrpKwSuite {
                 let mut flow = ControlFlow::Continue(());
                 for &i in self.inv.postings(kws[0]) {
                     stats.list_scans += 1;
-                    if q.contains(self.dataset.point(i as usize)) {
+                    if self.points.contains(q, i as usize) {
                         stats.reported += 1;
                         if sink.emit(i).is_break() {
                             flow = ControlFlow::Break(());
@@ -294,9 +298,7 @@ impl OrpKwSuite {
                 let mut by_freq = kws.to_vec();
                 by_freq.sort_by_key(|&w| self.inv.len_of(w));
                 let head = by_freq[..self.k_max].to_vec();
-                let mut filt = FilterSink::new(&mut *sink, |i| {
-                    self.dataset.doc(i as usize).contains_all(kws)
-                });
+                let mut filt = FilterSink::new(&mut *sink, |i| self.docs.has_all(i as usize, kws));
                 let flow = self.indexes[self.k_max - 2].query_sink(q, &head, &mut filt, stats);
                 ("post_filter", flow)
             }
@@ -314,19 +316,34 @@ impl OrpKwSuite {
 
     /// Deep structural validation (`debug-invariants`; DESIGN.md §12):
     /// every per-`k` member index and the inverted fallback must
-    /// validate.
+    /// validate, and the suite's own documents must be well-formed CSR
+    /// rows, one per object.
     ///
     /// # Errors
     ///
     /// The first violated invariant, by name.
     #[cfg(feature = "debug-invariants")]
     pub fn validate(&self) -> Result<(), crate::invariants::InvariantViolation> {
+        use crate::invariants::InvariantViolation as V;
+        self.docs
+            .check()
+            .map_err(|d| V::new("suite::documents", d))?;
+        if self.docs.len() != self.points.len() {
+            return Err(V::new(
+                "suite::documents",
+                format!(
+                    "{} documents for {} points",
+                    self.docs.len(),
+                    self.points.len()
+                ),
+            ));
+        }
         for index in &self.indexes {
             index.validate()?;
         }
-        self.inv.validate().map_err(|detail| {
-            crate::invariants::InvariantViolation::new("invidx::postings", detail)
-        })
+        self.inv
+            .validate()
+            .map_err(|detail| V::new("invidx::postings", detail))
     }
     /// Decodes a suite from snapshot bytes (DESIGN.md §15) and — under
     /// the `debug-invariants` feature — deep-validates the result, so a
@@ -358,7 +375,12 @@ impl Persist for OrpKwSuite {
         let mut head = Vec::new();
         persist::put_uv(&mut head, self.k_max as u64);
         w.page(persist::kind::SUITE_HEAD, SCHEMA_VERSION, head);
-        self.dataset.to_pages(w)?;
+        crate::dataset::put_dataset_pages(
+            w,
+            self.points.dim(),
+            self.points.as_slice().chunks(self.points.dim()),
+            self.docs.iter(),
+        );
         self.inv.to_pages(w)?;
         for index in &self.indexes {
             index.to_pages(w)?;
@@ -377,13 +399,13 @@ impl Persist for OrpKwSuite {
         if !(2..=16).contains(&k_max) {
             return Err(fail(format!("implausible k_max {k_max}")));
         }
-        let dataset = Dataset::from_pages(r)?;
+        let (points, docs) = crate::dataset::read_dataset_pages(r)?;
         let inv = InvertedIndex::from_pages(r)?;
-        if inv.num_objects() != dataset.len() {
+        if inv.num_objects() != points.len() {
             return Err(fail(format!(
                 "inverted index covers {} objects, dataset holds {}",
                 inv.num_objects(),
-                dataset.len()
+                points.len()
             )));
         }
         let mut indexes = Vec::with_capacity(k_max - 1);
@@ -396,18 +418,18 @@ impl Persist for OrpKwSuite {
                     index.k()
                 )));
             }
-            if index.dim() != dataset.dim() {
+            if index.dim() != points.dim() {
                 return Err(fail(format!(
                     "member k = {k} is {}D, dataset is {}D",
                     index.dim(),
-                    dataset.dim()
+                    points.dim()
                 )));
             }
-            if index.kd_num_objects() != Some(dataset.len()) {
+            if index.kd_num_objects() != Some(points.len()) {
                 return Err(fail(format!(
                     "member k = {k} indexes {:?} objects, dataset holds {}",
                     index.kd_num_objects(),
-                    dataset.len()
+                    points.len()
                 )));
             }
             indexes.push(index);
@@ -415,7 +437,8 @@ impl Persist for OrpKwSuite {
         Ok(Self {
             indexes,
             inv,
-            dataset,
+            points,
+            docs,
             k_max,
         })
     }

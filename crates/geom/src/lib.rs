@@ -4,6 +4,7 @@
 //! keyword-aware indexes in `skq-core`:
 //!
 //! * [`Point`] — a fixed-capacity point in up to [`MAX_DIM`] dimensions;
+//! * [`FlatPoints`] — dim-strided, shareable point storage for scan loops;
 //! * [`Rect`] — axis-aligned (possibly unbounded) `d`-rectangles;
 //! * [`Halfspace`] and [`ConvexPolytope`] — linear constraints `c · x ≤ b`
 //!   and their conjunctions, the query shape of the LC-KW problem;
@@ -24,6 +25,7 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
+pub mod flat;
 pub mod halfspace;
 pub mod kdtree;
 pub mod lift;
@@ -35,6 +37,7 @@ pub mod rect;
 pub mod region;
 pub mod simplex;
 
+pub use flat::FlatPoints;
 pub use halfspace::{ConvexPolytope, Halfspace};
 pub use kdtree::KdTree;
 pub use lift::{lift_ball, lift_point, Ball};

@@ -7,7 +7,7 @@
 //! to rank space in `O(log N)` by binary search without affecting the
 //! result.
 
-use crate::{Point, Rect};
+use crate::{FlatPoints, Point, Rect, MAX_DIM};
 
 /// A per-dimension rank mapping over a fixed point set.
 #[derive(Clone, Debug)]
@@ -16,9 +16,9 @@ pub struct RankSpace {
     /// lexicographically. The rank of an object on a dimension is its
     /// position in this order.
     sorted: Vec<Vec<(f64, u32)>>,
-    /// `ranks[i]` is the rank-space point of object `i`.
-    ranks: Vec<Point>,
-    dim: usize,
+    /// The rank-space image of every object, dim-strided. Shared (not
+    /// copied) with the kd partitioner built over it.
+    ranks: FlatPoints,
 }
 
 impl RankSpace {
@@ -38,8 +38,7 @@ impl RankSpace {
             "NaN coordinates are not orderable"
         );
         let mut sorted = Vec::with_capacity(dim);
-        let mut rank_coords = vec![vec![0.0f64; dim]; points.len()];
-        #[allow(clippy::needless_range_loop)] // `d` indexes per-point coord vectors, not one slice
+        let mut rank_coords = vec![0.0f64; points.len() * dim];
         for d in 0..dim {
             let mut order: Vec<(f64, u32)> = points
                 .iter()
@@ -48,17 +47,18 @@ impl RankSpace {
                 .collect();
             order.sort_by(|a, b| a.0.total_cmp(&b.0).then(a.1.cmp(&b.1)));
             for (rank, &(_, idx)) in order.iter().enumerate() {
-                rank_coords[idx as usize][d] = rank as f64;
+                rank_coords[idx as usize * dim + d] = rank as f64;
             }
             sorted.push(order);
         }
-        let ranks = rank_coords.iter().map(|c| Point::new(c)).collect();
-        Self { sorted, ranks, dim }
+        let ranks = FlatPoints::try_from_coords(rank_coords, dim)
+            .expect("non-empty points of a checked dimension");
+        Self { sorted, ranks }
     }
 
     /// The dimensionality.
     pub fn dim(&self) -> usize {
-        self.dim
+        self.ranks.dim()
     }
 
     /// The number of objects.
@@ -77,7 +77,21 @@ impl RankSpace {
     /// All images have pairwise-distinct coordinates on every dimension —
     /// the general-position property the kd framework needs.
     pub fn point(&self, i: usize) -> Point {
-        self.ranks[i]
+        self.ranks.point(i)
+    }
+
+    /// The rank-space images of all objects, dim-strided. Cloning the
+    /// result shares the storage.
+    pub fn ranks(&self) -> &FlatPoints {
+        &self.ranks
+    }
+
+    /// Whether the rank-space rectangle `rank_rect` (as returned by
+    /// [`rect`](Self::rect)) contains object `i` — equal to
+    /// `rank_rect.contains(&self.point(i))`, without building the point.
+    #[inline]
+    pub fn contains(&self, rank_rect: &Rect, i: usize) -> bool {
+        self.ranks.contains(rank_rect, i)
     }
 
     /// The per-dimension sorted `(coordinate, object index)` columns —
@@ -102,17 +116,16 @@ impl RankSpace {
         if dim == 0 {
             return Err("rank space needs at least one dimension".into());
         }
-        if dim > crate::MAX_DIM {
+        if dim > MAX_DIM {
             return Err(format!(
-                "rank space dimensionality {dim} exceeds MAX_DIM {}",
-                crate::MAX_DIM
+                "rank space dimensionality {dim} exceeds MAX_DIM {MAX_DIM}"
             ));
         }
         let n = sorted[0].len();
         if n == 0 {
             return Err("rank space needs at least one object".into());
         }
-        let mut rank_coords = vec![vec![0.0f64; dim]; n];
+        let mut rank_coords = vec![0.0f64; n * dim];
         for (d, col) in sorted.iter().enumerate() {
             if col.len() != n {
                 return Err(format!(
@@ -146,11 +159,11 @@ impl RankSpace {
                         ));
                     }
                 }
-                rank_coords[i][d] = rank as f64;
+                rank_coords[i * dim + d] = rank as f64;
             }
         }
-        let ranks = rank_coords.iter().map(|c| Point::new(c)).collect();
-        Ok(Self { sorted, ranks, dim })
+        let ranks = FlatPoints::try_from_coords(rank_coords, dim)?;
+        Ok(Self { sorted, ranks })
     }
 
     /// Converts an original-space query rectangle into rank space.
@@ -160,10 +173,11 @@ impl RankSpace {
     /// otherwise the returned rectangle selects exactly the objects the
     /// original rectangle selects. `O(d log N)`.
     pub fn rect(&self, q: &Rect) -> Option<Rect> {
-        assert_eq!(q.dim(), self.dim, "query dimension mismatch");
-        let mut lo = Vec::with_capacity(self.dim);
-        let mut hi = Vec::with_capacity(self.dim);
-        for d in 0..self.dim {
+        let dim = self.dim();
+        assert_eq!(q.dim(), dim, "query dimension mismatch");
+        let mut lo = [0.0f64; MAX_DIM];
+        let mut hi = [0.0f64; MAX_DIM];
+        for d in 0..dim {
             let (qlo, qhi) = q.interval(d);
             let col = &self.sorted[d];
             // Infinite endpoints stay infinite: an unbounded query side
@@ -182,13 +196,13 @@ impl RankSpace {
                 // one).
                 col.partition_point(|&(c, _)| c <= qhi) as f64 - 1.0
             };
-            lo.push(l);
-            hi.push(h);
+            lo[d] = l;
+            hi[d] = h;
         }
-        if lo.iter().zip(&hi).any(|(a, b)| a > b) {
+        if lo[..dim].iter().zip(&hi[..dim]).any(|(a, b)| a > b) {
             None
         } else {
-            Some(Rect::new(&lo, &hi))
+            Some(Rect::new(&lo[..dim], &hi[..dim]))
         }
     }
 }

@@ -88,7 +88,21 @@ impl Rect {
     /// Whether the rectangle contains `p` (boundary inclusive).
     pub fn contains(&self, p: &Point) -> bool {
         assert_eq!(self.dim(), p.dim(), "rect/point dimension mismatch");
-        (0..self.dim()).all(|i| self.lo[i] <= p.get(i) && p.get(i) <= self.hi[i])
+        self.contains_coords(p.coords())
+    }
+
+    /// Whether the rectangle contains the point with coordinates `c`
+    /// (boundary inclusive) — the allocation-free test the flat scan
+    /// loops run per examined object.
+    #[inline]
+    pub(crate) fn contains_coords(&self, c: &[f64]) -> bool {
+        debug_assert_eq!(self.dim(), c.len(), "rect/point dimension mismatch");
+        let d = self.dim();
+        self.lo[..d]
+            .iter()
+            .zip(&self.hi[..d])
+            .zip(c)
+            .all(|((lo, hi), x)| lo <= x && x <= hi)
     }
 
     /// Whether the rectangle intersects `other` (boundary inclusive).

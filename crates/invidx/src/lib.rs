@@ -4,7 +4,8 @@
 //! documents contain all of `w₁, …, w_k` — is equivalent to `k`-set
 //! intersection over an inverted index (paper §1.2). This crate provides:
 //!
-//! * [`Document`] — a deduplicated, sorted keyword set per object;
+//! * [`Document`] — a deduplicated, sorted keyword set per object, and
+//!   [`CsrDocs`], many of them packed into two flat arrays;
 //! * [`Dictionary`] — a string ↔ keyword-id mapping for applications;
 //! * [`InvertedIndex`] — postings lists with galloping `k`-way
 //!   intersection, the "keywords only" naive solution of the paper's
@@ -25,7 +26,7 @@ pub mod text;
 
 pub use compressed::{CompressedInvertedIndex, CompressedPostings};
 pub use dict::Dictionary;
-pub use doc::Document;
+pub use doc::{CsrDocs, Document};
 pub use postings::InvertedIndex;
 pub use text::Analyzer;
 

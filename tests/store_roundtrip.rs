@@ -198,3 +198,50 @@ fn unsupported_engines_save_as_typed_store_errors() {
         other => panic!("expected Store error, got {:?}", other.map(|b| b.len())),
     }
 }
+
+/// The on-disk format is pinned: a fixed dataset's suite snapshot must
+/// encode to exactly these bytes. A change to the in-memory layout
+/// (flat coordinates, CSR documents) must leave snapshots
+/// byte-identical, so files written before it still load; a deliberate
+/// format change updates the digest *and* bumps `SCHEMA_VERSION`.
+#[test]
+fn suite_snapshot_bytes_are_pinned() {
+    const GOLDEN_FNV1A64: u64 = 0xe218_237d_341e_ac2b;
+    const GOLDEN_LEN: usize = 79_575;
+    // 600 objects on a 40×40 grid (ties force rank-space tie-breaking),
+    // 1–4 keywords each from a vocabulary of 12, from a fixed LCG.
+    let mut state: u64 = 0x5EED_2023;
+    let mut next = |m: u64| {
+        state = state
+            .wrapping_mul(6_364_136_223_846_793_005)
+            .wrapping_add(1_442_695_040_888_963_407);
+        (state >> 33) % m
+    };
+    let parts: Vec<(Point, Vec<Keyword>)> = (0..600)
+        .map(|_| {
+            let p = Point::new2(next(40) as f64, next(40) as f64 * 0.5);
+            let kws = (0..1 + next(4)).map(|_| next(12) as Keyword).collect();
+            (p, kws)
+        })
+        .collect();
+    let dataset = Dataset::from_parts(parts);
+    let suite = OrpKwSuite::build(&dataset, 3);
+    let bytes = suite.to_bytes().unwrap();
+    let digest = structured_keyword_search::core::persist::fnv1a64(&bytes);
+    assert_eq!(
+        (digest, bytes.len()),
+        (GOLDEN_FNV1A64, GOLDEN_LEN),
+        "suite snapshot bytes changed: digest {digest:#018x}, {} bytes",
+        bytes.len()
+    );
+    // The pinned bytes load and answer like the built suite.
+    let loaded = OrpKwSuite::try_load(&bytes).unwrap();
+    let q = Rect::new(&[5.0, 2.0], &[30.0, 15.0]);
+    for kws in [vec![], vec![3], vec![1, 4], vec![0, 2, 5], vec![0, 1, 2, 3]] {
+        assert_eq!(
+            sorted(loaded.query(&q, &kws)),
+            sorted(suite.query(&q, &kws)),
+            "kws={kws:?}"
+        );
+    }
+}
