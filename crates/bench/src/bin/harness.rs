@@ -30,7 +30,8 @@ use skq_core::orp::OrpKwIndex;
 use skq_core::rr::RrKwIndex;
 use skq_core::sp::{SpKwIndex, SpStrategy};
 use skq_core::srp::SrpKwIndex;
-use skq_geom::{Ball, Point, Rect};
+use skq_core::{KeywordIndex, NnQuery};
+use skq_geom::{Ball, ConvexPolytope, Point, Rect};
 use skq_invidx::{InvertedIndex, Keyword};
 use skq_workload::queries::QueryGen;
 
@@ -366,7 +367,7 @@ fn e2(cfg: &Config) {
         })
         .median;
         let tl = measure(cfg.reps(), || {
-            std::hint::black_box(lc.query_rect(&q, kws));
+            std::hint::black_box(lc.query(ConvexPolytope::from_rect(&q).halfspaces(), kws));
         })
         .median;
         let big_n = ps.dataset.input_size() as f64;
@@ -457,7 +458,7 @@ fn e4(cfg: &Config) {
     let mut times = Vec::new();
     for t_arg in [1usize, 4, 16, 64, 256] {
         let ti = measure(cfg.reps(), || {
-            std::hint::black_box(index.query(&q, t_arg, kws));
+            std::hint::black_box(index.query(&NnQuery::new(q, t_arg), kws));
         })
         .median;
         let tk = measure(cfg.reps(), || {
@@ -482,7 +483,7 @@ fn e4(cfg: &Config) {
         let index = LinfNnIndex::build(&ps.dataset, 2);
         let kf = KeywordsFirst::build(&ps.dataset);
         let ti = measure(cfg.reps(), || {
-            std::hint::black_box(index.query(&q, 16, &ps.query_keywords));
+            std::hint::black_box(index.query(&NnQuery::new(q, 16), &ps.query_keywords));
         })
         .median;
         let tk = measure(cfg.reps(), || {
@@ -534,11 +535,11 @@ fn e5(cfg: &Config) {
         let (_, sw) = willard.query_with_stats(&q, kws);
         let (_, sk) = kdcells.query_with_stats(&q, kws);
         let t1 = measure(cfg.reps(), || {
-            std::hint::black_box(willard.query_polytope(&q, kws));
+            std::hint::black_box(willard.query(&q, kws));
         })
         .median;
         let t2 = measure(cfg.reps(), || {
-            std::hint::black_box(kdcells.query_polytope(&q, kws));
+            std::hint::black_box(kdcells.query(&q, kws));
         })
         .median;
         let t3 = measure(cfg.reps(), || {
@@ -615,14 +616,14 @@ fn e5(cfg: &Config) {
             let (_, sk) = kdcells.query_with_stats(&q, kws);
             if sw.crossing_nodes > worst_w.1 {
                 let t1 = measure(3, || {
-                    std::hint::black_box(willard.query_polytope(&q, kws));
+                    std::hint::black_box(willard.query(&q, kws));
                 })
                 .median;
                 worst_w = (sw.nodes_visited, sw.crossing_nodes, hits.len(), t1);
             }
             if sk.crossing_nodes > worst_k.1 {
                 let t2 = measure(3, || {
-                    std::hint::black_box(kdcells.query_polytope(&q, kws));
+                    std::hint::black_box(kdcells.query(&q, kws));
                 })
                 .median;
                 worst_k = (sk.nodes_visited, sk.crossing_nodes, t2);
@@ -716,7 +717,7 @@ fn e7(cfg: &Config) {
     let mut times = Vec::new();
     for t_arg in [1usize, 4, 16, 64] {
         let t1 = measure(cfg.reps(), || {
-            std::hint::black_box(index.query(&q, t_arg, kws));
+            std::hint::black_box(index.query(&NnQuery::new(q, t_arg), kws));
         })
         .median;
         let t2 = measure(cfg.reps(), || {
@@ -807,7 +808,7 @@ fn e9(cfg: &Config) {
             let inst = shuffled_planted(n, 8, k, planted, 6, 71);
             let ksi = KsiIndex::build(&inst.docs, k);
             let inv = InvertedIndex::build(&inst.docs);
-            let (_, stats) = ksi.intersect_with_stats(&inst.query);
+            let (_, stats) = ksi.query_with_stats(&(), &inst.query);
             let t1 = measure(cfg.reps(), || {
                 std::hint::black_box(ksi.intersect(&inst.query));
             })
@@ -845,7 +846,7 @@ fn e9(cfg: &Config) {
     for k in [2usize, 3] {
         let bl = borderline_spatial(n, 1, k, 0.8, 73);
         let ksi = KsiIndex::build(bl.dataset.docs(), k);
-        let (hits, stats) = ksi.intersect_with_stats(&bl.query_keywords);
+        let (hits, stats) = ksi.query_with_stats(&(), &bl.query_keywords);
         assert!(hits.is_empty());
         let bound = (ksi.input_size() as f64).powf(1.0 - 1.0 / k as f64);
         println!(

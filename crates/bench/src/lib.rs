@@ -1,4 +1,4 @@
-//! Shared machinery for the experiment harness and criterion benches.
+//! Shared machinery for the experiment harness and the benchmark trajectory.
 //!
 //! The paper has no empirical section; its evaluation artifacts are the
 //! bound matrix of Table 1, the supporting lemmas/propositions, and the

@@ -19,6 +19,7 @@
 //!   medians and per-query latency percentiles. Numbers are
 //!   machine-dependent; diff them only against the same box.
 
+use std::borrow::Borrow;
 use std::time::Instant;
 
 use skq_core::dataset::Dataset;
@@ -35,6 +36,7 @@ use skq_core::sp::SpKwIndex;
 use skq_core::srp::SrpKwIndex;
 use skq_core::stats::QueryStats;
 use skq_core::suite::OrpKwSuite;
+use skq_core::{KeywordIndex, NnQuery};
 use skq_geom::Rect;
 use skq_invidx::Keyword;
 use skq_workload::queries::QueryGen;
@@ -232,194 +234,129 @@ fn problem_header(out: &mut Json, scenario: &str, n: usize, input_size: usize, k
     out.set("k", Json::Num(k as f64));
 }
 
-/// Rect + keyword queries shared by the rect-query problems.
-fn rect_queries(d: &Dataset, count: usize) -> Vec<(Rect, Vec<Keyword>)> {
+/// One problem's workload: the scenario it runs on and its queries.
+struct Workload<Q> {
+    scenario: &'static str,
+    n: usize,
+    input_size: usize,
+    queries: Vec<(Q, Vec<Keyword>)>,
+}
+
+/// The pinned city workload: `scale.queries()` pairs of a structured
+/// query drawn by `draw` and `BUILD_K` keywords.
+fn city_workload<Q>(
+    ctx: &Ctx,
+    d: &Dataset,
+    mut draw: impl FnMut(&mut QueryGen) -> Q,
+) -> Workload<Q> {
     let mut gen = QueryGen::new(d, SEED_QUERIES);
-    (0..count)
+    let queries = (0..ctx.opts.scale.queries())
         .map(|_| {
-            let rect = gen.rect(0.1);
+            let q = draw(&mut gen);
             let kws = gen
                 .keywords(BUILD_K, 0.3)
                 .expect("scenario vocabulary has >= k keywords");
-            (rect, kws)
-        })
-        .collect()
-}
-
-fn orp_problem(ctx: &Ctx, d: &Dataset) -> Json {
-    let queries = rect_queries(d, ctx.opts.scale.queries());
-    let (index, build) = ctx.build_record(
-        d.len(),
-        || OrpKwIndex::build(d, BUILD_K),
-        OrpKwIndex::space_words,
-    );
-    let query = ctx.query_record("orp", queries.len(), |i| {
-        let (rect, kws) = &queries[i];
-        index.query_with_stats(rect, kws).1
-    });
-    let mut out = Json::obj();
-    problem_header(&mut out, "city", d.len(), d.input_size(), BUILD_K);
-    out.set("build", build);
-    out.set("query", query);
-    out
-}
-
-fn rr_problem(ctx: &Ctx, d: &Dataset) -> Json {
-    // Inflate each point into a small axis-aligned box: the
-    // rect-vs-rect regime on the same city scenario.
-    let side = 150.0;
-    let boxes: Vec<(Rect, Vec<Keyword>)> = (0..d.len())
-        .map(|i| {
-            let p = d.point(i);
-            let lo: Vec<f64> = p.coords().to_vec();
-            let hi: Vec<f64> = p.coords().iter().map(|c| c + side).collect();
-            (Rect::new(&lo, &hi), d.doc(i).keywords().to_vec())
+            (q, kws)
         })
         .collect();
-    let input_size: usize = boxes.iter().map(|(_, kws)| 1 + kws.len()).sum();
-    let queries = rect_queries(d, ctx.opts.scale.queries());
-    let (index, build) = ctx.build_record(
-        d.len(),
-        || RrKwIndex::build(&boxes, BUILD_K),
-        RrKwIndex::space_words,
-    );
-    let query = ctx.query_record("rr", queries.len(), |i| {
-        let (rect, kws) = &queries[i];
-        index.query_with_stats(rect, kws).1
-    });
-    let mut out = Json::obj();
-    problem_header(&mut out, "city", d.len(), input_size, BUILD_K);
-    out.set("build", build);
-    out.set("query", query);
-    out
+    Workload {
+        scenario: "city",
+        n: d.len(),
+        input_size: d.input_size(),
+        queries,
+    }
 }
 
-fn lc_problem(ctx: &Ctx, d: &Dataset) -> Json {
-    let count = ctx.opts.scale.queries();
-    let mut gen = QueryGen::new(d, SEED_QUERIES);
-    let queries: Vec<_> = (0..count)
-        .map(|_| {
-            let poly = gen.halfspaces(1);
-            let kws = gen.keywords(BUILD_K, 0.3).expect("vocabulary");
-            (poly, kws)
-        })
-        .collect();
-    let (index, build) = ctx.build_record(
-        d.len(),
-        || LcKwIndex::build(d, BUILD_K),
-        LcKwIndex::space_words,
-    );
-    let query = ctx.query_record("lc", queries.len(), |i| {
-        let (poly, kws) = &queries[i];
-        index.query_with_stats(poly.halfspaces(), kws).1
-    });
-    let mut out = Json::obj();
-    problem_header(&mut out, "city", d.len(), d.input_size(), BUILD_K);
-    out.set("build", build);
-    out.set("query", query);
-    out
+/// Rect + keyword queries shared by the rect-query problems.
+fn rect_queries(ctx: &Ctx, d: &Dataset) -> Vec<(Rect, Vec<Keyword>)> {
+    city_workload(ctx, d, |gen| gen.rect(0.1)).queries
 }
 
-fn sp_problem(ctx: &Ctx, d: &Dataset) -> Json {
-    let count = ctx.opts.scale.queries();
-    let mut gen = QueryGen::new(d, SEED_QUERIES);
-    let queries: Vec<_> = (0..count)
-        .map(|_| {
-            let poly = gen.halfspaces(2);
-            let kws = gen.keywords(BUILD_K, 0.3).expect("vocabulary");
-            (poly, kws)
-        })
-        .collect();
-    let (index, build) = ctx.build_record(
-        d.len(),
-        || SpKwIndex::build(d, BUILD_K),
-        SpKwIndex::space_words,
-    );
-    let query = ctx.query_record("sp", queries.len(), |i| {
-        let (poly, kws) = &queries[i];
-        index.query_with_stats(poly, kws).1
-    });
-    let mut out = Json::obj();
-    problem_header(&mut out, "city", d.len(), d.input_size(), BUILD_K);
-    out.set("build", build);
-    out.set("query", query);
-    out
-}
-
-fn srp_problem(ctx: &Ctx, d: &Dataset) -> Json {
-    let count = ctx.opts.scale.queries();
-    let mut gen = QueryGen::new(d, SEED_QUERIES);
-    let queries: Vec<_> = (0..count)
-        .map(|_| {
-            let ball = gen.ball(0.1);
-            let kws = gen.keywords(BUILD_K, 0.3).expect("vocabulary");
-            (ball, kws)
-        })
-        .collect();
-    let (index, build) = ctx.build_record(
-        d.len(),
-        || SrpKwIndex::build(d, BUILD_K),
-        SrpKwIndex::space_words,
-    );
-    let query = ctx.query_record("srp", queries.len(), |i| {
-        let (ball, kws) = &queries[i];
-        index.query_with_stats(ball, kws).1
-    });
-    let mut out = Json::obj();
-    problem_header(&mut out, "city", d.len(), d.input_size(), BUILD_K);
-    out.set("build", build);
-    out.set("query", query);
-    out
-}
-
-fn nn_problem(
+/// Builds an index under the allocation probe and answers `work`'s
+/// queries through [`KeywordIndex::query_with_stats`].
+fn index_problem<I, Q>(
     ctx: &Ctx,
-    d: &Dataset,
-    problem: &'static str,
-    build_index: impl Fn() -> NnEngine,
-) -> Json {
-    let count = ctx.opts.scale.queries();
-    let mut gen = QueryGen::new(d, SEED_QUERIES);
-    let queries: Vec<_> = (0..count)
-        .map(|_| {
-            let p = gen.integer_point();
-            let kws = gen.keywords(BUILD_K, 0.3).expect("vocabulary");
-            (p, kws)
-        })
-        .collect();
-    let (index, build) = ctx.build_record(d.len(), &build_index, NnEngine::space_words);
-    let query = ctx.query_record(problem, queries.len(), |i| {
-        let (p, kws) = &queries[i];
-        index.query_with_stats(p, 8, kws)
+    label: &'static str,
+    work: Workload<Q>,
+    build: impl Fn() -> I,
+) -> Json
+where
+    I: KeywordIndex,
+    Q: Borrow<I::Query>,
+{
+    let (index, build) = ctx.build_record(work.n, build, I::space_words);
+    let query = ctx.query_record(label, work.queries.len(), |i| {
+        let (q, kws) = &work.queries[i];
+        index.query_with_stats(q.borrow(), kws).1
     });
     let mut out = Json::obj();
-    problem_header(&mut out, "city", d.len(), d.input_size(), BUILD_K);
+    problem_header(&mut out, work.scenario, work.n, work.input_size, BUILD_K);
     out.set("build", build);
     out.set("query", query);
     out
 }
 
-/// The two NN engines behind one dispatch, so [`nn_problem`] is shared.
-enum NnEngine {
-    Linf(LinfNnIndex),
-    L2(L2NnIndex),
-}
+/// A problem of the table: runs under its label on the city dataset.
+type ProblemFn = fn(&Ctx, &'static str, &Dataset) -> Json;
 
-impl NnEngine {
-    fn space_words(&self) -> usize {
-        match self {
-            NnEngine::Linf(i) => i.space_words(),
-            NnEngine::L2(i) => i.space_words(),
-        }
-    }
-
-    fn query_with_stats(&self, p: &skq_geom::Point, t: usize, kws: &[Keyword]) -> QueryStats {
-        match self {
-            NnEngine::Linf(i) => i.query_with_stats(p, t, kws).1,
-            NnEngine::L2(i) => i.query_with_stats(p, t, kws).1,
-        }
-    }
-}
+/// One row per [`KeywordIndex`] problem, in document order.
+const INDEX_PROBLEMS: [(&str, ProblemFn); 8] = [
+    ("orp", |ctx, label, d| {
+        let work = city_workload(ctx, d, |gen| gen.rect(0.1));
+        index_problem(ctx, label, work, || OrpKwIndex::build(d, BUILD_K))
+    }),
+    ("rr", |ctx, label, d| {
+        // Inflate each point into a small axis-aligned box: the
+        // rect-vs-rect regime on the same city scenario.
+        let side = 150.0;
+        let boxes: Vec<(Rect, Vec<Keyword>)> = (0..d.len())
+            .map(|i| {
+                let p = d.point(i);
+                let lo: Vec<f64> = p.coords().to_vec();
+                let hi: Vec<f64> = p.coords().iter().map(|c| c + side).collect();
+                (Rect::new(&lo, &hi), d.doc(i).keywords().to_vec())
+            })
+            .collect();
+        let work = Workload {
+            input_size: boxes.iter().map(|(_, kws)| 1 + kws.len()).sum(),
+            ..city_workload(ctx, d, |gen| gen.rect(0.1))
+        };
+        index_problem(ctx, label, work, || RrKwIndex::build(&boxes, BUILD_K))
+    }),
+    ("lc", |ctx, label, d| {
+        let work = city_workload(ctx, d, |gen| gen.halfspaces(1).halfspaces().to_vec());
+        index_problem(ctx, label, work, || LcKwIndex::build(d, BUILD_K))
+    }),
+    ("sp", |ctx, label, d| {
+        let work = city_workload(ctx, d, |gen| gen.halfspaces(2));
+        index_problem(ctx, label, work, || SpKwIndex::build(d, BUILD_K))
+    }),
+    ("srp", |ctx, label, d| {
+        let work = city_workload(ctx, d, |gen| gen.ball(0.1));
+        index_problem(ctx, label, work, || SrpKwIndex::build(d, BUILD_K))
+    }),
+    ("nn_linf", |ctx, label, d| {
+        let work = city_workload(ctx, d, |gen| NnQuery::new(gen.integer_point(), 8));
+        index_problem(ctx, label, work, || LinfNnIndex::build(d, BUILD_K))
+    }),
+    ("nn_l2", |ctx, label, d| {
+        let work = city_workload(ctx, d, |gen| NnQuery::new(gen.integer_point(), 8));
+        index_problem(ctx, label, work, || L2NnIndex::build(d, BUILD_K))
+    }),
+    ("ksi", |ctx, label, _| {
+        let n = ctx.opts.scale.n();
+        let inst = shuffled_planted(n, 8, BUILD_K, (n / 100).max(4), 6, SEED_DATA);
+        // One planted query repeated: k-SI query cost is a function of
+        // the sets, so the sweep exercises the steady-state path.
+        let work = Workload {
+            scenario: "shuffled_planted",
+            n,
+            input_size: inst.docs.iter().map(|doc| doc.keywords().len()).sum(),
+            queries: vec![((), inst.query.clone()); ctx.opts.scale.queries()],
+        };
+        index_problem(ctx, label, work, || KsiIndex::build(&inst.docs, BUILD_K))
+    }),
+];
 
 /// The persistence-tier problem: queries answered by an
 /// [`OrpKwSuite`] that either was just built (`mode: "built"`, the
@@ -431,7 +368,7 @@ impl NnEngine {
 /// the in-memory build. `load_micros` (wall clock) is recorded only in
 /// loaded runs, keeping the baseline deterministic.
 fn store_problem(ctx: &Ctx, d: &Dataset, snapshot: Option<&[u8]>) -> Json {
-    let queries = rect_queries(d, ctx.opts.scale.queries());
+    let queries = rect_queries(ctx, d);
     let mut out = Json::obj();
     problem_header(&mut out, "city", d.len(), d.input_size(), SUITE_K_MAX);
     let suite = match snapshot {
@@ -475,29 +412,8 @@ pub fn suite_snapshot(scale: Scale) -> Vec<u8> {
         .expect("suite snapshot encoding")
 }
 
-fn ksi_problem(ctx: &Ctx) -> Json {
-    let n = ctx.opts.scale.n();
-    let inst = shuffled_planted(n, 8, BUILD_K, (n / 100).max(4), 6, SEED_DATA);
-    let input_size: usize = inst.docs.iter().map(|doc| doc.keywords().len()).sum();
-    let (index, build) = ctx.build_record(
-        n,
-        || KsiIndex::build(&inst.docs, BUILD_K),
-        KsiIndex::space_words,
-    );
-    // One planted query repeated: k-SI query cost is a function of the
-    // sets, so the sweep exercises the steady-state path.
-    let query = ctx.query_record("ksi", ctx.opts.scale.queries(), |_| {
-        index.intersect_with_stats(&inst.query).1
-    });
-    let mut out = Json::obj();
-    problem_header(&mut out, "shuffled_planted", n, input_size, BUILD_K);
-    out.set("build", build);
-    out.set("query", query);
-    out
-}
-
 fn planner_problem(ctx: &Ctx, d: &Dataset) -> Json {
-    let queries = rect_queries(d, ctx.opts.scale.queries());
+    let queries = rect_queries(ctx, d);
     // The planner does not expose a space accessor (it owns an engine
     // plus the two naive baselines); footprint is tracked through the
     // engines' own problems, so record 0 words here.
@@ -530,7 +446,7 @@ fn planner_problem(ctx: &Ctx, d: &Dataset) -> Json {
 
 fn batch_problem(ctx: &Ctx, d: &Dataset, index: &OrpKwIndex) -> Json {
     use skq_core::batch::{run_batch, BatchQuery};
-    let batch: Vec<BatchQuery> = rect_queries(d, ctx.opts.scale.queries())
+    let batch: Vec<BatchQuery> = rect_queries(ctx, d)
         .into_iter()
         .map(|(rect, keywords)| BatchQuery { rect, keywords })
         .collect();
@@ -581,18 +497,9 @@ pub fn run_with_snapshot(opts: BenchOptions, probe: AllocProbe, snapshot: Option
             probe: &zero_probe,
         };
         let wd = scenarios::city(400, SEED_DATA);
-        let _ = orp_problem(&warm_ctx, &wd);
-        let _ = rr_problem(&warm_ctx, &wd);
-        let _ = lc_problem(&warm_ctx, &wd);
-        let _ = sp_problem(&warm_ctx, &wd);
-        let _ = srp_problem(&warm_ctx, &wd);
-        let _ = nn_problem(&warm_ctx, &wd, "nn_linf", || {
-            NnEngine::Linf(LinfNnIndex::build(&wd, BUILD_K))
-        });
-        let _ = nn_problem(&warm_ctx, &wd, "nn_l2", || {
-            NnEngine::L2(L2NnIndex::build(&wd, BUILD_K))
-        });
-        let _ = ksi_problem(&warm_ctx);
+        for (label, run) in INDEX_PROBLEMS {
+            let _ = run(&warm_ctx, label, &wd);
+        }
         let _ = planner_problem(&warm_ctx, &wd);
         let wi = OrpKwIndex::build(&wd, BUILD_K);
         let _ = batch_problem(&warm_ctx, &wd, &wi);
@@ -603,24 +510,9 @@ pub fn run_with_snapshot(opts: BenchOptions, probe: AllocProbe, snapshot: Option
     let d = scenarios::city(n, SEED_DATA);
 
     let mut problems = Json::obj();
-    problems.set("orp", orp_problem(&ctx, &d));
-    problems.set("rr", rr_problem(&ctx, &d));
-    problems.set("lc", lc_problem(&ctx, &d));
-    problems.set("sp", sp_problem(&ctx, &d));
-    problems.set("srp", srp_problem(&ctx, &d));
-    problems.set(
-        "nn_linf",
-        nn_problem(&ctx, &d, "nn_linf", || {
-            NnEngine::Linf(LinfNnIndex::build(&d, BUILD_K))
-        }),
-    );
-    problems.set(
-        "nn_l2",
-        nn_problem(&ctx, &d, "nn_l2", || {
-            NnEngine::L2(L2NnIndex::build(&d, BUILD_K))
-        }),
-    );
-    problems.set("ksi", ksi_problem(&ctx));
+    for (label, run) in INDEX_PROBLEMS {
+        problems.set(label, run(&ctx, label, &d));
+    }
     problems.set("planner", planner_problem(&ctx, &d));
     let orp_index = OrpKwIndex::build(&d, BUILD_K);
     problems.set("batch", batch_problem(&ctx, &d, &orp_index));

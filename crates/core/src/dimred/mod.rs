@@ -23,6 +23,7 @@ use skq_invidx::Keyword;
 
 use crate::dataset::Dataset;
 use crate::orp::OrpKwIndex;
+use crate::query::KeywordIndex;
 use crate::sink::{LimitSink, MapSink, ResultSink};
 use crate::stats::QueryStats;
 
@@ -239,9 +240,8 @@ impl DimRedTree {
     }
 }
 
-#[cfg(feature = "debug-invariants")]
 impl DimRedTree {
-    /// Deep structural validation (`debug-invariants`; DESIGN.md §12):
+    /// Deep structural validation (DESIGN.md §12):
     /// checks §4's x-extent ordering and nesting, level progression,
     /// the pivot partition across the tree, the local→global id maps,
     /// and recursively every node's secondary index.

@@ -25,6 +25,7 @@ use crate::failpoints;
 use crate::fastmap::FxHashMap;
 use crate::guard::{GuardedSink, QueryGuard};
 use crate::orp::OrpKwIndex;
+use crate::query::KeywordIndex;
 use crate::sink::ResultSink;
 use crate::stats::{QueryStats, TruncatedReason};
 use crate::telemetry;
@@ -536,7 +537,7 @@ impl DynamicOrpKw {
         blocks + self.buffer.len() * (self.dim + 4) + self.live_set.len() * 2
     }
 
-    /// Deep structural validation (`debug-invariants`; DESIGN.md §12):
+    /// Deep structural validation (DESIGN.md §12):
     /// re-derives the logarithmic-method bookkeeping — buffer and block
     /// capacities, handle/source alignment per block, global handle
     /// uniqueness, and that every live handle is actually stored — then
@@ -545,7 +546,6 @@ impl DynamicOrpKw {
     /// # Errors
     ///
     /// The first violated invariant, by name.
-    #[cfg(feature = "debug-invariants")]
     pub fn validate(&self) -> Result<(), crate::invariants::InvariantViolation> {
         use crate::invariants::InvariantViolation as V;
         // After a failed rebuild the whole pool parks in the buffer with
@@ -1151,7 +1151,6 @@ mod tests {
             b.sort();
             assert_eq!(a, b, "keyword {w1}");
         }
-        #[cfg(feature = "debug-invariants")]
         loaded.validate().unwrap();
         // The loaded index keeps accepting writes where the old one
         // left off.
@@ -1180,8 +1179,7 @@ mod tests {
     }
 
     /// Deliberate corruption must be rejected with a descriptive
-    /// invariant name (`debug-invariants` acceptance criterion).
-    #[cfg(feature = "debug-invariants")]
+    /// invariant name (DESIGN.md §12 acceptance criterion).
     mod corruption {
         use super::*;
 

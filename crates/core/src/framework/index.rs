@@ -506,59 +506,8 @@ impl<P: Partitioner> TransformedIndex<P> {
             .iter()
             .map(|n| (n.level, n.weight, n.pivots.len(), n.large.len()))
     }
-
-    /// Verifies the structural invariants of §3.2; returns a violation
-    /// description if any. Used by tests.
-    pub fn check_invariants(&self) -> Result<(), String> {
-        self.check_invariants_with(true)
-    }
-
-    /// Like [`check_invariants`](Self::check_invariants); pass
-    /// `require_balance = false` for partitioners without a
-    /// weight-halving guarantee (the midpoint quadtree).
-    pub fn check_invariants_with(&self, require_balance: bool) -> Result<(), String> {
-        for (i, n) in self.nodes.iter().enumerate() {
-            // Large-keyword bound L ≤ N_u^(1/k) (+1 for float rounding).
-            let cap = (n.weight as f64).powf(1.0 / self.k as f64) + 1.0;
-            if n.large.len() as f64 > cap {
-                return Err(format!(
-                    "node {i}: {} large keywords exceeds N_u^(1/k) = {cap}",
-                    n.large.len()
-                ));
-            }
-            // Materialized lists must be shorter than the threshold.
-            let tau = (n.weight as f64).powf(1.0 - 1.0 / self.k as f64);
-            for (w, list) in &n.materialized {
-                if list.len() as f64 >= tau + 1.0 {
-                    return Err(format!(
-                        "node {i}: materialized list for {w} has {} ≥ τ = {tau}",
-                        list.len()
-                    ));
-                }
-            }
-            // Children carry at most half the weight (median-split
-            // partitioners only).
-            if require_balance {
-                for &c in &n.children {
-                    let cw = self.nodes[c as usize].weight;
-                    if cw * 2 > n.weight {
-                        return Err(format!(
-                            "node {i}: child weight {cw} exceeds half of {}",
-                            n.weight
-                        ));
-                    }
-                }
-            }
-            // Combo tables parallel children when present.
-            if !n.combos.is_empty() && n.combos.len() != n.children.len() {
-                return Err(format!("node {i}: combo/children length mismatch"));
-            }
-        }
-        Ok(())
-    }
 }
 
-#[cfg(feature = "debug-invariants")]
 impl<P: Partitioner> TransformedIndex<P> {
     /// Deep structural validation (DESIGN.md §12): re-derives the §3
     /// invariants from the built structure rather than trusting the
@@ -578,8 +527,44 @@ impl<P: Partitioner> TransformedIndex<P> {
         use crate::invariants::InvariantViolation as V;
         // The §3.2 arithmetic invariants: large-keyword cap L ≤ N_u^(1/k),
         // materialized lists < τ, child weight ≤ half, combo parallelism.
-        self.check_invariants_with(require_balance)
-            .map_err(|d| V::new("framework::section3", d))?;
+        let section3 = |d: String| Err(V::new("framework::section3", d));
+        for (i, n) in self.nodes.iter().enumerate() {
+            // Large-keyword bound L ≤ N_u^(1/k) (+1 for float rounding).
+            let cap = (n.weight as f64).powf(1.0 / self.k as f64) + 1.0;
+            if n.large.len() as f64 > cap {
+                return section3(format!(
+                    "node {i}: {} large keywords exceeds N_u^(1/k) = {cap}",
+                    n.large.len()
+                ));
+            }
+            // Materialized lists must be shorter than the threshold.
+            let tau = (n.weight as f64).powf(1.0 - 1.0 / self.k as f64);
+            for (w, list) in &n.materialized {
+                if list.len() as f64 >= tau + 1.0 {
+                    return section3(format!(
+                        "node {i}: materialized list for {w} has {} ≥ τ = {tau}",
+                        list.len()
+                    ));
+                }
+            }
+            // Children carry at most half the weight (median-split
+            // partitioners only).
+            if require_balance {
+                for &c in &n.children {
+                    let cw = self.nodes[c as usize].weight;
+                    if cw * 2 > n.weight {
+                        return section3(format!(
+                            "node {i}: child weight {cw} exceeds half of {}",
+                            n.weight
+                        ));
+                    }
+                }
+            }
+            // Combo tables parallel children when present.
+            if !n.combos.is_empty() && n.combos.len() != n.children.len() {
+                return section3(format!("node {i}: combo/children length mismatch"));
+            }
+        }
         let n = self.docs.len();
 
         // Documents: well-formed CSR (monotone offsets; every row
@@ -1239,12 +1224,11 @@ mod tests {
         let words = tree.space_words(3);
         assert!(words > 512);
         assert!(words < 200 * 1024, "space {words}");
-        tree.check_invariants().unwrap();
+        tree.validate().unwrap();
     }
 
     /// Deliberate corruption must be rejected with the *name* of the
     /// broken invariant (acceptance criterion of DESIGN.md §12).
-    #[cfg(feature = "debug-invariants")]
     mod corruption {
         use super::*;
         use skq_geom::Rect;

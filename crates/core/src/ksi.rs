@@ -22,7 +22,9 @@ use skq_invidx::{Document, Keyword};
 use crate::error::{validate, SkqError};
 use crate::failpoints;
 use crate::framework::{FrameworkConfig, KdPartitioner, TransformedIndex};
-use crate::sink::{CountSink, LimitSink, ResultSink};
+use crate::invariants::InvariantViolation;
+use crate::query::KeywordIndex;
+use crate::sink::ResultSink;
 use crate::stats::QueryStats;
 
 /// The k-SI index over a family of sets given as documents.
@@ -105,22 +107,31 @@ impl KsiIndex {
 
     /// Reports `⋂ᵢ S_{wᵢ}` (a reporting query).
     pub fn intersect(&self, keywords: &[Keyword]) -> Vec<u32> {
-        self.intersect_with_stats(keywords).0
+        self.query(&(), keywords)
     }
 
-    /// Like [`intersect`](Self::intersect) with statistics.
-    pub fn intersect_with_stats(&self, keywords: &[Keyword]) -> (Vec<u32>, QueryStats) {
-        let mut out = Vec::new();
-        let mut stats = QueryStats::new();
-        let _ = self.intersect_sink(keywords, &mut out, &mut stats);
-        stats.emitted = out.len() as u64;
-        (out, stats)
+    /// An emptiness query: whether `⋂ᵢ S_{wᵢ} = ∅`
+    /// (`O(N^{1−1/k})` — a reporting query cut off at the first result,
+    /// exactly the footnote-4 argument of §1.2). Allocation-free on the
+    /// result side.
+    pub fn intersection_is_empty(&self, keywords: &[Keyword]) -> bool {
+        !self.count_at_least(&(), keywords, 1)
+    }
+}
+
+/// No geometry: the query is its keywords alone.
+impl KeywordIndex for KsiIndex {
+    type Query = ();
+
+    fn check_query(&self, _: &(), keywords: &[Keyword]) -> Result<(), SkqError> {
+        validate::distinct_keywords(keywords, self.k())
     }
 
-    /// Streaming intersection: each element of `⋂ᵢ S_{wᵢ}` is emitted
-    /// into `sink` as it is found (a full-space ORP-KW traversal).
-    pub fn intersect_sink<S: ResultSink>(
+    /// Each element of `⋂ᵢ S_{wᵢ}` is emitted into `sink` as it is
+    /// found (a full-space ORP-KW traversal).
+    fn query_sink<S: ResultSink>(
         &self,
+        _: &(),
         keywords: &[Keyword],
         sink: &mut S,
         stats: &mut QueryStats,
@@ -129,73 +140,12 @@ impl KsiIndex {
             .query_sink(keywords, &|_| Region::Covered, &|_| true, sink, stats)
     }
 
-    /// Fallible intersection: validates the keyword set, then appends
-    /// `⋂ᵢ S_{wᵢ}` to `out`.
-    ///
-    /// # Errors
-    ///
-    /// `SkqError::InvalidQuery` if the keyword set is not exactly `k`
-    /// distinct keywords.
-    pub fn try_query_into(
-        &self,
-        keywords: &[Keyword],
-        out: &mut Vec<u32>,
-    ) -> Result<QueryStats, SkqError> {
-        validate::distinct_keywords(keywords, self.k())?;
-        let mut stats = QueryStats::new();
-        let before = out.len();
-        let _ = self.intersect_sink(keywords, out, &mut stats);
-        stats.emitted = (out.len() - before) as u64;
-        Ok(stats)
-    }
-
-    /// An emptiness query: whether `⋂ᵢ S_{wᵢ} = ∅`
-    /// (`O(N^{1−1/k})` — a reporting query cut off at the first result,
-    /// exactly the footnote-4 argument of §1.2). Allocation-free on the
-    /// result side.
-    pub fn intersection_is_empty(&self, keywords: &[Keyword]) -> bool {
-        !self.count_at_least(keywords, 1)
-    }
-
-    /// The size of the intersection `|⋂ᵢ S_{wᵢ}|`, without materializing
-    /// the result set.
-    pub fn count(&self, keywords: &[Keyword]) -> u64 {
-        let mut sink = CountSink::new();
-        let mut stats = QueryStats::new();
-        let _ = self.intersect_sink(keywords, &mut sink, &mut stats);
-        sink.count()
-    }
-
-    /// Whether the intersection has at least `t` elements, by early
-    /// termination (no result vector is built).
-    pub fn count_at_least(&self, keywords: &[Keyword], t: usize) -> bool {
-        if t == 0 {
-            return true;
-        }
-        let mut sink = LimitSink::new(CountSink::new(), t);
-        let mut stats = QueryStats::new();
-        let _ = self.intersect_sink(keywords, &mut sink, &mut stats);
-        sink.emitted() >= t as u64
-    }
-
-    /// Index space in 64-bit words.
-    pub fn space_words(&self) -> usize {
+    fn space_words(&self) -> usize {
         self.tree.space_words(3)
     }
 
-    /// Structural invariants (see the framework docs).
-    pub fn check_invariants(&self) -> Result<(), String> {
-        self.tree.check_invariants()
-    }
-
-    /// Deep structural validation (`debug-invariants`; DESIGN.md §12):
-    /// delegates to the underlying framework tree.
-    ///
-    /// # Errors
-    ///
-    /// The first violated invariant, by name.
-    #[cfg(feature = "debug-invariants")]
-    pub fn validate(&self) -> Result<(), crate::invariants::InvariantViolation> {
+    /// Delegates to the underlying framework tree.
+    fn validate(&self) -> Result<(), InvariantViolation> {
         self.tree.validate()
     }
 }
@@ -220,7 +170,7 @@ mod tests {
     fn matches_inverted_index_k2() {
         let docs = random_docs(400, 12, 1);
         let ksi = KsiIndex::build(&docs, 2);
-        ksi.check_invariants().unwrap();
+        ksi.validate().unwrap();
         let inv = InvertedIndex::build(&docs);
         let mut rng = StdRng::seed_from_u64(2);
         for _ in 0..100 {
@@ -274,7 +224,7 @@ mod tests {
         let ksi = KsiIndex::try_build(&docs, 2).unwrap();
         let legacy = KsiIndex::build(&docs, 2);
         let mut out = Vec::new();
-        let stats = ksi.try_query_into(&[0, 1], &mut out).unwrap();
+        let stats = ksi.try_query_into(&(), &[0, 1], &mut out).unwrap();
         let mut expected = legacy.intersect(&[0, 1]);
         out.sort_unstable();
         expected.sort_unstable();
@@ -290,7 +240,7 @@ mod tests {
         ));
         let mut scratch = Vec::new();
         assert!(matches!(
-            ksi.try_query_into(&[0, 0], &mut scratch),
+            ksi.try_query_into(&(), &[0, 0], &mut scratch),
             Err(SkqError::InvalidQuery(_))
         ));
     }
@@ -301,9 +251,9 @@ mod tests {
         let ksi = KsiIndex::build(&docs, 2);
         let inv = InvertedIndex::build(&docs);
         let truth = inv.intersect(&[0, 1]).len();
-        assert!(ksi.count_at_least(&[0, 1], truth));
-        assert!(!ksi.count_at_least(&[0, 1], truth + 1));
-        assert!(ksi.count_at_least(&[0, 1], 0));
-        assert_eq!(ksi.count(&[0, 1]), truth as u64);
+        assert!(ksi.count_at_least(&(), &[0, 1], truth));
+        assert!(!ksi.count_at_least(&(), &[0, 1], truth + 1));
+        assert!(ksi.count_at_least(&(), &[0, 1], 0));
+        assert_eq!(ksi.count(&(), &[0, 1]), truth as u64);
     }
 }

@@ -11,24 +11,27 @@
 //! several.
 //!
 //! LC-KW also gives an alternative linear-space ORP-KW index (a
-//! `d`-rectangle is `2d` linear constraints), realizing Table 1's
-//! "`d ≤ k`, `O(N)` space" row: see [`LcKwIndex::query_rect`].
+//! `d`-rectangle is `2d` linear constraints,
+//! [`ConvexPolytope::from_rect`]), realizing Table 1's "`d ≤ k`, `O(N)`
+//! space" row with an extra `log N` additive term in the query bound.
 
 use std::ops::ControlFlow;
 
-use skq_geom::{ConvexPolytope, Halfspace, Rect};
+use skq_geom::{ConvexPolytope, Halfspace};
 use skq_invidx::Keyword;
 
 use crate::dataset::Dataset;
 use crate::error::SkqError;
 use crate::failpoints;
+use crate::invariants::InvariantViolation;
+use crate::query::KeywordIndex;
 use crate::sink::ResultSink;
 use crate::sp::{SpKwIndex, SpStrategy};
 use crate::stats::QueryStats;
 
 /// The LC-KW index.
 pub struct LcKwIndex {
-    sp: SpKwIndex,
+    pub(crate) sp: SpKwIndex,
 }
 
 impl LcKwIndex {
@@ -79,70 +82,26 @@ impl LcKwIndex {
     pub fn k(&self) -> usize {
         self.sp.k()
     }
+}
 
-    /// Reports objects satisfying all `constraints` and containing all
-    /// `keywords`.
-    pub fn query(&self, constraints: &[Halfspace], keywords: &[Keyword]) -> Vec<u32> {
+impl KeywordIndex for LcKwIndex {
+    type Query = [Halfspace];
+
+    fn check_query(&self, constraints: &[Halfspace], keywords: &[Keyword]) -> Result<(), SkqError> {
+        // `ConvexPolytope::new` asserts one dimension for all
+        // constraints: check it here so a mixed set is an error.
+        if let Some(h) = constraints.iter().find(|h| h.dim() != self.sp.dim()) {
+            return Err(SkqError::InvalidQuery(format!(
+                "query dimension mismatch: a constraint is {}-dimensional, index is {}-dimensional",
+                h.dim(),
+                self.sp.dim()
+            )));
+        }
         self.sp
-            .query_polytope(&ConvexPolytope::new(constraints.to_vec()), keywords)
+            .check_query(&ConvexPolytope::new(constraints.to_vec()), keywords)
     }
 
-    /// Like [`query`](Self::query) with statistics.
-    pub fn query_with_stats(
-        &self,
-        constraints: &[Halfspace],
-        keywords: &[Keyword],
-    ) -> (Vec<u32>, QueryStats) {
-        self.sp
-            .query_with_stats(&ConvexPolytope::new(constraints.to_vec()), keywords)
-    }
-
-    /// Fallible query: validates the constraints and keyword set, then
-    /// appends matching ids to `out`.
-    ///
-    /// # Errors
-    ///
-    /// `SkqError::InvalidQuery` on a dimension mismatch, NaN
-    /// coefficients, or a keyword set that is not exactly `k` distinct
-    /// keywords.
-    pub fn try_query_into(
-        &self,
-        constraints: &[Halfspace],
-        keywords: &[Keyword],
-        out: &mut Vec<u32>,
-    ) -> Result<QueryStats, SkqError> {
-        self.sp
-            .try_query_into(&ConvexPolytope::new(constraints.to_vec()), keywords, out)
-    }
-
-    /// ORP-KW through LC-KW: a `d`-rectangle is the conjunction of `2d`
-    /// linear constraints (Table 1, row "`d ≤ k`": linear space with an
-    /// extra `log N` additive term in the query bound).
-    pub fn query_rect(&self, q: &Rect, keywords: &[Keyword]) -> Vec<u32> {
-        self.sp
-            .query_polytope(&ConvexPolytope::from_rect(q), keywords)
-    }
-
-    /// Limited-output variant.
-    pub fn query_limited(
-        &self,
-        constraints: &[Halfspace],
-        keywords: &[Keyword],
-        limit: usize,
-        out: &mut Vec<u32>,
-        stats: &mut QueryStats,
-    ) {
-        self.sp.query_limited(
-            &ConvexPolytope::new(constraints.to_vec()),
-            keywords,
-            limit,
-            out,
-            stats,
-        );
-    }
-
-    /// Streaming variant: matching ids are emitted into `sink`.
-    pub fn query_sink<S: ResultSink>(
+    fn query_sink<S: ResultSink>(
         &self,
         constraints: &[Halfspace],
         keywords: &[Keyword],
@@ -157,30 +116,12 @@ impl LcKwIndex {
         )
     }
 
-    /// Whether at least `t` objects match, by early termination.
-    pub fn count_at_least(
-        &self,
-        constraints: &[Halfspace],
-        keywords: &[Keyword],
-        t: usize,
-    ) -> bool {
-        self.sp
-            .count_at_least(&ConvexPolytope::new(constraints.to_vec()), keywords, t)
-    }
-
-    /// Index space in 64-bit words.
-    pub fn space_words(&self) -> usize {
+    fn space_words(&self) -> usize {
         self.sp.space_words()
     }
 
-    /// Deep structural validation (`debug-invariants`; DESIGN.md §12):
-    /// delegates to the inner SP-KW index.
-    ///
-    /// # Errors
-    ///
-    /// The first violated invariant, by name.
-    #[cfg(feature = "debug-invariants")]
-    pub fn validate(&self) -> Result<(), crate::invariants::InvariantViolation> {
+    /// Delegates to the inner SP-KW index.
+    fn validate(&self) -> Result<(), InvariantViolation> {
         self.sp.validate()
     }
 }
@@ -189,7 +130,7 @@ impl LcKwIndex {
 mod tests {
     use super::*;
     use rand::{rngs::StdRng, Rng, SeedableRng};
-    use skq_geom::Point;
+    use skq_geom::{Point, Rect};
 
     /// The paper's introductory example: hotels with price, rating, and
     /// feature tags; condition C2 is `c₁·price + c₂·(10 − rating) ≤ c₃`.
@@ -239,7 +180,7 @@ mod tests {
             let q = Rect::new(&[x0.min(x1), y0.min(y1)], &[x0.max(x1), y0.max(y1)]);
             let w1 = rng.gen_range(0..8);
             let w2 = (w1 + 1 + rng.gen_range(0..7)) % 8;
-            let mut a = lc.query_rect(&q, &[w1, w2]);
+            let mut a = lc.query(ConvexPolytope::from_rect(&q).halfspaces(), &[w1, w2]);
             let mut b = orp.query(&q, &[w1, w2]);
             a.sort_unstable();
             b.sort_unstable();
@@ -280,6 +221,12 @@ mod tests {
             index.try_query_into(&cs, &[0, 0], &mut scratch),
             Err(SkqError::InvalidQuery(_))
         ));
+        let mixed = [cs[0], Halfspace::new(&[1.0], 2.0)];
+        assert!(matches!(
+            index.try_query_into(&mixed, &[0, 1], &mut scratch),
+            Err(SkqError::InvalidQuery(_))
+        ));
+        assert!(scratch.is_empty());
         assert!(matches!(
             LcKwIndex::try_build_with_budget(&dataset, 2, Some(1)),
             Err(SkqError::BuildBudgetExceeded { .. })

@@ -15,6 +15,10 @@
 //!
 //! # Modules
 //!
+//! * [`query`] — the one query contract, [`KeywordIndex`]: each problem
+//!   index supplies its query shape, validation, streaming traversal
+//!   and structural checks; collecting, counting, limited, threshold and
+//!   fallible queries are provided methods.
 //! * [`dataset`] — input representation (`D`, `N`, `W`).
 //! * [`framework`] — §3's four-step transformation framework, generic
 //!   over a space-partitioning strategy (kd-tree and Willard partition
@@ -54,6 +58,7 @@
 //! ```
 //! use skq_core::dataset::Dataset;
 //! use skq_core::orp::OrpKwIndex;
+//! use skq_core::KeywordIndex;
 //! use skq_geom::{Point, Rect};
 //!
 //! // Hotels: (price, rating) plus feature tags as integer keywords.
@@ -92,7 +97,6 @@ pub mod failpoints;
 pub mod fastmap;
 pub mod framework;
 pub mod guard;
-#[cfg(feature = "debug-invariants")]
 pub mod invariants;
 pub mod ksi;
 pub mod lc;
@@ -103,6 +107,7 @@ pub mod orp;
 pub mod persist;
 #[warn(clippy::disallowed_methods, clippy::disallowed_macros)]
 pub mod planner;
+pub mod query;
 pub mod rr;
 pub mod sink;
 pub mod sp;
@@ -115,4 +120,5 @@ pub mod telemetry;
 pub use dataset::Dataset;
 pub use error::SkqError;
 pub use guard::{CancelToken, GuardedSink, QueryGuard};
+pub use query::{KeywordIndex, NnQuery};
 pub use stats::{QueryStats, TruncatedReason};

@@ -8,12 +8,16 @@
 //! early-terminating SRP-KW threshold query per probe — finds the
 //! minimal ball holding `t` matches in `O(log N)` probes.
 
+use std::ops::ControlFlow;
+
 use skq_geom::Point;
 use skq_invidx::Keyword;
 
 use crate::dataset::Dataset;
 use crate::error::{validate, SkqError};
 use crate::failpoints;
+use crate::invariants::InvariantViolation;
+use crate::query::{KeywordIndex, NnQuery};
 use crate::sink::{CountSink, LimitSink, ResultSink};
 use crate::srp::SrpKwIndex;
 use crate::stats::QueryStats;
@@ -25,6 +29,7 @@ use crate::stats::QueryStats;
 /// ```
 /// use skq_core::dataset::Dataset;
 /// use skq_core::nn_l2::L2NnIndex;
+/// use skq_core::{KeywordIndex, NnQuery};
 /// use skq_geom::Point;
 ///
 /// // Integer coordinates, as Corollary 7 requires.
@@ -33,7 +38,7 @@ use crate::stats::QueryStats;
 ///     (Point::new2(6.0, 8.0), vec![0, 1]),
 /// ]);
 /// let index = L2NnIndex::build(&data, 2);
-/// assert_eq!(index.query(&Point::new2(0.0, 0.0), 1, &[0, 1]), vec![0]);
+/// assert_eq!(index.query(&NnQuery::new(Point::new2(0.0, 0.0), 1), &[0, 1]), vec![0]);
 /// ```
 pub struct L2NnIndex {
     srp: SrpKwIndex,
@@ -103,25 +108,21 @@ impl L2NnIndex {
         self.srp.k()
     }
 
-    /// Returns up to `t` matching objects nearest to `q` in `L2`
-    /// distance, sorted by `(distance, id)`. Fewer than `t` are
-    /// returned only when fewer objects match the keywords at all.
+    /// Up to `t` matching objects nearest to `q` in `L2` distance,
+    /// sorted by `(distance, id)`, with aggregate statistics over the
+    /// internal threshold probes. Fewer than `t` are returned only when
+    /// fewer objects match the keywords at all.
     ///
     /// # Panics
     ///
     /// Panics if `q` has non-integer or oversized coordinates.
-    pub fn query(&self, q: &Point, t: usize, keywords: &[Keyword]) -> Vec<u32> {
-        self.query_with_stats(q, t, keywords).0
-    }
-
-    /// Like [`query`](Self::query) with aggregate statistics over the
-    /// internal threshold probes.
-    pub fn query_with_stats(
+    fn nearest(
         &self,
         q: &Point,
         t: usize,
         keywords: &[Keyword],
-    ) -> (Vec<u32>, QueryStats) {
+        stats: &mut QueryStats,
+    ) -> Vec<u32> {
         assert_eq!(q.dim(), self.dim, "query dimension mismatch");
         for &c in q.coords() {
             assert!(
@@ -129,9 +130,8 @@ impl L2NnIndex {
                 "query coordinates must be integers with |c| <= 2^25"
             );
         }
-        let mut stats = QueryStats::new();
         if t == 0 {
-            return (Vec::new(), stats);
+            return Vec::new();
         }
 
         // Max possible squared distance to any stored point: exact
@@ -147,15 +147,13 @@ impl L2NnIndex {
             })
             .sum();
 
-        if !self.threshold(q, max_sq, keywords, t, &mut stats) {
+        if !self.threshold(q, max_sq, keywords, t, stats) {
             // Fewer than t matches exist: return all of them.
             let mut all = Vec::new();
             let _ = self
                 .srp
-                .query_sq_sink(q, max_sq as f64, keywords, &mut all, &mut stats);
-            let ranked = self.rank_by_distance(q, all, usize::MAX);
-            stats.emitted = ranked.len() as u64;
-            return (ranked, stats);
+                .query_sq_sink(q, max_sq as f64, keywords, &mut all, stats);
+            return self.rank_by_distance(q, all, usize::MAX);
         }
 
         // Binary search the integer squared radius.
@@ -163,7 +161,7 @@ impl L2NnIndex {
         let mut hi = max_sq;
         while lo < hi {
             let mid = lo + (hi - lo) / 2;
-            if self.threshold(q, mid, keywords, t, &mut stats) {
+            if self.threshold(q, mid, keywords, t, stats) {
                 hi = mid;
             } else {
                 lo = mid + 1;
@@ -173,40 +171,8 @@ impl L2NnIndex {
         let mut hits = Vec::new();
         let _ = self
             .srp
-            .query_sq_sink(q, lo as f64, keywords, &mut hits, &mut stats);
-        let out = self.rank_by_distance(q, hits, t);
-        stats.emitted = out.len() as u64;
-        (out, stats)
-    }
-
-    /// Fallible query: validates the query point and keyword set, then
-    /// appends the `t` nearest matching ids to `out` in `(distance,
-    /// id)` order.
-    ///
-    /// # Errors
-    ///
-    /// `SkqError::InvalidQuery` on a dimension mismatch, non-integer or
-    /// oversized query coordinates, or a keyword set that is not
-    /// exactly `k` distinct keywords.
-    pub fn try_query_into(
-        &self,
-        q: &Point,
-        t: usize,
-        keywords: &[Keyword],
-        out: &mut Vec<u32>,
-    ) -> Result<QueryStats, SkqError> {
-        validate::point_query(q, self.dim)?;
-        for &c in q.coords() {
-            if c.fract() != 0.0 || c.abs() > (1 << 25) as f64 {
-                return Err(SkqError::InvalidQuery(format!(
-                    "query coordinates must be integers with |c| <= 2^25, got {c}"
-                )));
-            }
-        }
-        validate::distinct_keywords(keywords, self.k())?;
-        let (ids, stats) = self.query_with_stats(q, t, keywords);
-        out.extend(ids);
-        Ok(stats)
+            .query_sq_sink(q, lo as f64, keywords, &mut hits, stats);
+        self.rank_by_distance(q, hits, t)
     }
 
     /// "Are there at least `t` matches within squared radius `r²`?" —
@@ -238,23 +204,46 @@ impl L2NnIndex {
         ids.truncate(t);
         ids
     }
+}
 
-    /// Index space in 64-bit words.
-    pub fn space_words(&self) -> usize {
+impl KeywordIndex for L2NnIndex {
+    type Query = NnQuery;
+
+    fn check_query(&self, q: &NnQuery, keywords: &[Keyword]) -> Result<(), SkqError> {
+        validate::point_query(&q.point, self.dim)?;
+        for &c in q.point.coords() {
+            if c.fract() != 0.0 || c.abs() > (1 << 25) as f64 {
+                return Err(SkqError::InvalidQuery(format!(
+                    "query coordinates must be integers with |c| <= 2^25, got {c}"
+                )));
+            }
+        }
+        validate::distinct_keywords(keywords, self.k())
+    }
+
+    /// Emits the `t` nearest matches in `(distance, id)` order.
+    fn query_sink<S: ResultSink>(
+        &self,
+        q: &NnQuery,
+        keywords: &[Keyword],
+        sink: &mut S,
+        stats: &mut QueryStats,
+    ) -> ControlFlow<()> {
+        for id in self.nearest(&q.point, q.t, keywords, stats) {
+            sink.emit(id)?;
+        }
+        ControlFlow::Continue(())
+    }
+
+    fn space_words(&self) -> usize {
         self.srp.space_words() + self.dim * self.points.len()
     }
 
-    /// Deep structural validation (`debug-invariants`; DESIGN.md §12):
-    /// the per-dimension extremes (the initial radius bound) must be the
+    /// The per-dimension extremes (the initial radius bound) must be the
     /// exact min/max of the stored coordinates, and the inner SRP-KW
     /// index must itself validate.
-    ///
-    /// # Errors
-    ///
-    /// The first violated invariant, by name.
-    #[cfg(feature = "debug-invariants")]
-    pub fn validate(&self) -> Result<(), crate::invariants::InvariantViolation> {
-        use crate::invariants::InvariantViolation as V;
+    fn validate(&self) -> Result<(), InvariantViolation> {
+        use InvariantViolation as V;
         if self.extremes.len() != self.dim {
             return Err(V::new(
                 "nn_l2::extremes",
@@ -336,7 +325,7 @@ mod tests {
             let w1 = rng.gen_range(0..8);
             let w2 = (w1 + 1 + rng.gen_range(0..7)) % 8;
             assert_eq!(
-                index.query(&q, t, &[w1, w2]),
+                index.query(&NnQuery::new(q, t), &[w1, w2]),
                 brute(&dataset, &q, t, &[w1, w2]),
                 "q={q:?} t={t}"
             );
@@ -358,7 +347,7 @@ mod tests {
             let w1 = rng.gen_range(0..6);
             let w2 = (w1 + 1 + rng.gen_range(0..5)) % 6;
             assert_eq!(
-                index.query(&q, t, &[w1, w2]),
+                index.query(&NnQuery::new(q, t), &[w1, w2]),
                 brute(&dataset, &q, t, &[w1, w2])
             );
         }
@@ -373,9 +362,9 @@ mod tests {
         ]);
         let index = L2NnIndex::build(&dataset, 2);
         let q = Point::new2(0.0, 0.0);
-        assert_eq!(index.query(&q, 1, &[0, 1]), vec![0]);
-        assert_eq!(index.query(&q, 2, &[0, 1]), vec![0, 1]);
-        assert_eq!(index.query(&q, 3, &[0, 1]), vec![0, 1, 2]);
+        assert_eq!(index.query(&NnQuery::new(q, 1), &[0, 1]), vec![0]);
+        assert_eq!(index.query(&NnQuery::new(q, 2), &[0, 1]), vec![0, 1]);
+        assert_eq!(index.query(&NnQuery::new(q, 3), &[0, 1]), vec![0, 1, 2]);
     }
 
     #[test]
@@ -383,7 +372,7 @@ mod tests {
         let dataset = integer_dataset(60, 2, 4, 21);
         let index = L2NnIndex::build(&dataset, 2);
         let q = Point::new2(0.0, 0.0);
-        let got = index.query(&q, 1000, &[0, 1]);
+        let got = index.query(&NnQuery::new(q, 1000), &[0, 1]);
         let expected = brute(&dataset, &q, usize::MAX, &[0, 1]);
         assert_eq!(got, expected);
     }
@@ -402,8 +391,10 @@ mod tests {
         let legacy = L2NnIndex::build(&dataset, 2);
         let q = Point::new2(5.0, -7.0);
         let mut out = Vec::new();
-        index.try_query_into(&q, 4, &[0, 1], &mut out).unwrap();
-        assert_eq!(out, legacy.query(&q, 4, &[0, 1]));
+        index
+            .try_query_into(&NnQuery::new(q, 4), &[0, 1], &mut out)
+            .unwrap();
+        assert_eq!(out, legacy.query(&NnQuery::new(q, 4), &[0, 1]));
         // Validation surfaces.
         let bad = Dataset::from_parts(vec![(Point::new2(0.5, 0.0), vec![0, 1])]);
         assert!(matches!(
@@ -412,11 +403,15 @@ mod tests {
         ));
         let mut scratch = Vec::new();
         assert!(matches!(
-            index.try_query_into(&Point::new2(0.5, 0.0), 1, &[0, 1], &mut scratch),
+            index.try_query_into(
+                &NnQuery::new(Point::new2(0.5, 0.0), 1),
+                &[0, 1],
+                &mut scratch
+            ),
             Err(SkqError::InvalidQuery(_))
         ));
         assert!(matches!(
-            index.try_query_into(&q, 1, &[0, 1, 2], &mut scratch),
+            index.try_query_into(&NnQuery::new(q, 1), &[0, 1, 2], &mut scratch),
             Err(SkqError::InvalidQuery(_))
         ));
     }

@@ -17,9 +17,11 @@ use skq_invidx::Keyword;
 use crate::dataset::Dataset;
 use crate::error::{validate, SkqError};
 use crate::failpoints;
+use crate::invariants::InvariantViolation;
 use crate::lc::LcKwIndex;
 use crate::orp::OrpKwIndex;
 use crate::persist::{self, Persist, SCHEMA_VERSION};
+use crate::query::{KeywordIndex, NnQuery};
 use crate::sink::{CountSink, LimitSink, ResultSink};
 use crate::stats::QueryStats;
 use crate::telemetry;
@@ -77,6 +79,7 @@ impl RectEngine {
 /// ```
 /// use skq_core::dataset::Dataset;
 /// use skq_core::nn_linf::LinfNnIndex;
+/// use skq_core::{KeywordIndex, NnQuery};
 /// use skq_geom::Point;
 ///
 /// let data = Dataset::from_parts(vec![
@@ -86,7 +89,7 @@ impl RectEngine {
 /// ]);
 /// let index = LinfNnIndex::build(&data, 2);
 /// // Nearest matching object to the origin.
-/// assert_eq!(index.query(&Point::new2(0.0, 0.0), 1, &[0, 1]), vec![0]);
+/// assert_eq!(index.query(&NnQuery::new(Point::new2(0.0, 0.0), 1), &[0, 1]), vec![0]);
 /// ```
 pub struct LinfNnIndex {
     engine: RectEngine,
@@ -180,41 +183,32 @@ impl LinfNnIndex {
         }
     }
 
-    /// Returns up to `t` matching objects nearest to `q` under `L∞`
-    /// distance, sorted by `(distance, id)`. Fewer than `t` are
-    /// returned only when fewer objects match the keywords at all.
-    pub fn query(&self, q: &Point, t: usize, keywords: &[Keyword]) -> Vec<u32> {
-        self.query_with_stats(q, t, keywords).0
-    }
-
-    /// Like [`query`](Self::query) with aggregate statistics over all
-    /// the internal threshold queries.
-    pub fn query_with_stats(
+    /// Up to `t` matching objects nearest to `q` under `L∞` distance,
+    /// sorted by `(distance, id)`, with aggregate statistics over all
+    /// the internal threshold queries. Fewer than `t` are returned only
+    /// when fewer objects match the keywords at all.
+    fn nearest(
         &self,
         q: &Point,
         t: usize,
         keywords: &[Keyword],
-    ) -> (Vec<u32>, QueryStats) {
+        stats: &mut QueryStats,
+    ) -> Vec<u32> {
         assert_eq!(q.dim(), self.dim, "query dimension mismatch");
-        let mut stats = QueryStats::new();
         if t == 0 {
-            return (Vec::new(), stats);
+            return Vec::new();
         }
 
         // Are there t matches at all? Probe with the maximal radius.
         let n = self.points.len();
         let total_candidates = self.dim * n;
         let r_max = self.candidate_by_rank(q, total_candidates - 1);
-        if !self.threshold(q, r_max, keywords, t, &mut stats) {
+        if !self.threshold(q, r_max, keywords, t, stats) {
             // Fewer than t matches exist: return all of them.
             let ball = outward_ball(q, r_max);
             let mut all = Vec::new();
-            let _ = self
-                .engine
-                .query_sink(&ball, keywords, &mut all, &mut stats);
-            let ranked = self.rank_by_distance(q, all, usize::MAX);
-            stats.emitted = ranked.len() as u64;
-            return (ranked, stats);
+            let _ = self.engine.query_sink(&ball, keywords, &mut all, stats);
+            return self.rank_by_distance(q, all, usize::MAX);
         }
 
         // Binary search the candidate-radius rank for the minimal radius
@@ -224,7 +218,7 @@ impl LinfNnIndex {
         while lo < hi {
             let mid = lo + (hi - lo) / 2;
             let r = self.candidate_by_rank(q, mid);
-            if self.threshold(q, r, keywords, t, &mut stats) {
+            if self.threshold(q, r, keywords, t, stats) {
                 hi = mid;
             } else {
                 lo = mid + 1;
@@ -235,9 +229,7 @@ impl LinfNnIndex {
         // Collect everything within r* and rank by true distance.
         let ball = outward_ball(q, r_star);
         let mut hits = Vec::new();
-        let _ = self
-            .engine
-            .query_sink(&ball, keywords, &mut hits, &mut stats);
+        let _ = self.engine.query_sink(&ball, keywords, &mut hits, stats);
         let ranked = self.rank_by_distance(q, hits, t);
 
         // Closure pass: re-collect at the t-th hit's actual distance
@@ -247,35 +239,8 @@ impl LinfNnIndex {
         let d_t = self.points[*ranked.last().expect("t >= 1 hits") as usize].linf(q);
         let ball = outward_ball(q, f64::from_bits(d_t.to_bits() + 4));
         let mut hits = Vec::new();
-        let _ = self
-            .engine
-            .query_sink(&ball, keywords, &mut hits, &mut stats);
-        let out = self.rank_by_distance(q, hits, t);
-        stats.emitted = out.len() as u64;
-        (out, stats)
-    }
-
-    /// Fallible query: validates the query point and keyword set, then
-    /// appends the `t` nearest matching ids to `out` in `(distance,
-    /// id)` order.
-    ///
-    /// # Errors
-    ///
-    /// `SkqError::InvalidQuery` on a dimension mismatch, a non-finite
-    /// query point, or a keyword set that is not exactly `k` distinct
-    /// keywords.
-    pub fn try_query_into(
-        &self,
-        q: &Point,
-        t: usize,
-        keywords: &[Keyword],
-        out: &mut Vec<u32>,
-    ) -> Result<QueryStats, SkqError> {
-        validate::point_query(q, self.dim)?;
-        validate::distinct_keywords(keywords, self.k())?;
-        let (ids, stats) = self.query_with_stats(q, t, keywords);
-        out.extend(ids);
-        Ok(stats)
+        let _ = self.engine.query_sink(&ball, keywords, &mut hits, stats);
+        self.rank_by_distance(q, hits, t)
     }
 
     /// "Are there at least `t` matches within radius `r`?" — the
@@ -344,24 +309,40 @@ impl LinfNnIndex {
         ids.truncate(t);
         ids
     }
+}
 
-    /// Index space in 64-bit words.
-    pub fn space_words(&self) -> usize {
+impl KeywordIndex for LinfNnIndex {
+    type Query = NnQuery;
+
+    fn check_query(&self, q: &NnQuery, keywords: &[Keyword]) -> Result<(), SkqError> {
+        validate::point_query(&q.point, self.dim)?;
+        validate::distinct_keywords(keywords, self.k())
+    }
+
+    /// Emits the `t` nearest matches in `(distance, id)` order.
+    fn query_sink<S: ResultSink>(
+        &self,
+        q: &NnQuery,
+        keywords: &[Keyword],
+        sink: &mut S,
+        stats: &mut QueryStats,
+    ) -> ControlFlow<()> {
+        for id in self.nearest(&q.point, q.t, keywords, stats) {
+            sink.emit(id)?;
+        }
+        ControlFlow::Continue(())
+    }
+
+    fn space_words(&self) -> usize {
         self.engine.space_words() + self.dim * self.points.len()
     }
 
-    /// Deep structural validation (`debug-invariants`; DESIGN.md §12):
-    /// the candidate-radius columns must be sorted permutations of the
-    /// stored coordinates (the binary-search step of Corollary 4 silently
-    /// returns wrong neighbors otherwise), and the rectangle engine must
-    /// itself validate.
-    ///
-    /// # Errors
-    ///
-    /// The first violated invariant, by name.
-    #[cfg(feature = "debug-invariants")]
-    pub fn validate(&self) -> Result<(), crate::invariants::InvariantViolation> {
-        use crate::invariants::InvariantViolation as V;
+    /// The candidate-radius columns must be sorted permutations of the
+    /// stored coordinates (the binary-search step of Corollary 4
+    /// silently returns wrong neighbors otherwise), and the rectangle
+    /// engine must itself validate.
+    fn validate(&self) -> Result<(), InvariantViolation> {
+        use InvariantViolation as V;
         if self.sorted_coords.len() != self.dim {
             return Err(V::new(
                 "nn_linf::sorted_coords",
@@ -543,7 +524,7 @@ mod tests {
             let t = rng.gen_range(1..8);
             let w1 = rng.gen_range(0..8);
             let w2 = (w1 + 1 + rng.gen_range(0..7)) % 8;
-            let got = index.query(&q, t, &[w1, w2]);
+            let got = index.query(&NnQuery::new(q, t), &[w1, w2]);
             let expected = brute(&dataset, &q, t, &[w1, w2]);
             // Sets of distances must agree (ties at the boundary may pick
             // different ids only if distances tie — with the (dist, id)
@@ -570,7 +551,10 @@ mod tests {
             let t = rng.gen_range(1..5);
             let w1 = rng.gen_range(0..6);
             let w2 = (w1 + 1 + rng.gen_range(0..5)) % 6;
-            assert_eq!(a.query(&q, t, &[w1, w2]), b.query(&q, t, &[w1, w2]));
+            assert_eq!(
+                a.query(&NnQuery::new(q, t), &[w1, w2]),
+                b.query(&NnQuery::new(q, t), &[w1, w2])
+            );
         }
     }
 
@@ -589,7 +573,7 @@ mod tests {
             let w1 = rng.gen_range(0..6);
             let w2 = (w1 + 1 + rng.gen_range(0..5)) % 6;
             assert_eq!(
-                index.query(&q, t, &[w1, w2]),
+                index.query(&NnQuery::new(q, t), &[w1, w2]),
                 brute(&dataset, &q, t, &[w1, w2])
             );
         }
@@ -603,7 +587,7 @@ mod tests {
             (Point::new2(5.0, 0.0), vec![0]),
         ]);
         let index = LinfNnIndex::build(&dataset, 2);
-        let got = index.query(&Point::new2(0.0, 0.0), 10, &[0, 1]);
+        let got = index.query(&NnQuery::new(Point::new2(0.0, 0.0), 10), &[0, 1]);
         assert_eq!(got, vec![0, 1]);
     }
 
@@ -611,7 +595,9 @@ mod tests {
     fn t_zero_is_empty() {
         let dataset = random_dataset(50, 2, 4, 21);
         let index = LinfNnIndex::build(&dataset, 2);
-        assert!(index.query(&Point::new2(0.0, 0.0), 0, &[0, 1]).is_empty());
+        assert!(index
+            .query(&NnQuery::new(Point::new2(0.0, 0.0), 0), &[0, 1])
+            .is_empty());
     }
 
     #[test]
@@ -621,19 +607,25 @@ mod tests {
         let legacy = LinfNnIndex::build(&dataset, 2);
         let q = Point::new2(1.0, -3.0);
         let mut out = Vec::new();
-        index.try_query_into(&q, 5, &[0, 1], &mut out).unwrap();
-        assert_eq!(out, legacy.query(&q, 5, &[0, 1]));
+        index
+            .try_query_into(&NnQuery::new(q, 5), &[0, 1], &mut out)
+            .unwrap();
+        assert_eq!(out, legacy.query(&NnQuery::new(q, 5), &[0, 1]));
         let mut scratch = Vec::new();
         assert!(matches!(
-            index.try_query_into(&Point::new1(0.0), 1, &[0, 1], &mut scratch),
+            index.try_query_into(&NnQuery::new(Point::new1(0.0), 1), &[0, 1], &mut scratch),
             Err(SkqError::InvalidQuery(_))
         ));
         assert!(matches!(
-            index.try_query_into(&Point::new2(f64::NAN, 0.0), 1, &[0, 1], &mut scratch),
+            index.try_query_into(
+                &NnQuery::new(Point::new2(f64::NAN, 0.0), 1),
+                &[0, 1],
+                &mut scratch
+            ),
             Err(SkqError::InvalidQuery(_))
         ));
         assert!(matches!(
-            index.try_query_into(&q, 1, &[0], &mut scratch),
+            index.try_query_into(&NnQuery::new(q, 1), &[0], &mut scratch),
             Err(SkqError::InvalidQuery(_))
         ));
         assert!(matches!(
@@ -652,12 +644,17 @@ mod tests {
             (Point::new2(0.0, 7.0), vec![0, 1]),
         ]);
         let index = LinfNnIndex::build(&dataset, 2);
-        assert_eq!(index.query(&Point::new2(0.0, 0.0), 1, &[0, 1]), vec![0]);
-        assert_eq!(index.query(&Point::new2(0.0, 0.0), 2, &[0, 1]), vec![0, 1]);
+        assert_eq!(
+            index.query(&NnQuery::new(Point::new2(0.0, 0.0), 1), &[0, 1]),
+            vec![0]
+        );
+        assert_eq!(
+            index.query(&NnQuery::new(Point::new2(0.0, 0.0), 2), &[0, 1]),
+            vec![0, 1]
+        );
     }
 
     #[test]
-    #[cfg(feature = "debug-invariants")]
     fn scrambled_radius_column_names_sorted_coords() {
         let dataset = random_dataset(80, 2, 4, 71);
         let mut index = LinfNnIndex::build(&dataset, 2);

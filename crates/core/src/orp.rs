@@ -18,8 +18,10 @@ use crate::dimred::DimRedTree;
 use crate::error::{validate, SkqError};
 use crate::failpoints;
 use crate::framework::{FrameworkConfig, KdPartitioner, TransformedIndex};
+use crate::invariants::InvariantViolation;
 use crate::persist::{self, Persist, SCHEMA_VERSION};
-use crate::sink::{CountSink, LimitSink, ResultSink};
+use crate::query::KeywordIndex;
+use crate::sink::ResultSink;
 use crate::stats::QueryStats;
 use crate::telemetry;
 
@@ -130,69 +132,17 @@ impl OrpKwIndex {
     pub fn dim(&self) -> usize {
         self.dim
     }
+}
 
-    /// Reports all objects in `q` whose documents contain all
-    /// `keywords` (exactly `k` distinct keywords).
-    pub fn query(&self, q: &Rect, keywords: &[Keyword]) -> Vec<u32> {
-        let mut out = Vec::new();
-        let mut stats = QueryStats::new();
-        self.query_limited(q, keywords, usize::MAX, &mut out, &mut stats);
-        out
-    }
+impl KeywordIndex for OrpKwIndex {
+    type Query = Rect;
 
-    /// Like [`query`](Self::query) but also returns execution
-    /// statistics.
-    pub fn query_with_stats(&self, q: &Rect, keywords: &[Keyword]) -> (Vec<u32>, QueryStats) {
-        let mut out = Vec::new();
-        let mut stats = QueryStats::new();
-        self.query_limited(q, keywords, usize::MAX, &mut out, &mut stats);
-        (out, stats)
-    }
-
-    /// Reports at most `limit` results (used by the threshold queries of
-    /// Corollary 4: a query that is cut short certifies
-    /// `|q ∩ D(w₁…w_k)| ≥ limit` within the `O(N^{1−1/k}·limit^{1/k})`
-    /// budget).
-    pub fn query_limited(
-        &self,
-        q: &Rect,
-        keywords: &[Keyword],
-        limit: usize,
-        out: &mut Vec<u32>,
-        stats: &mut QueryStats,
-    ) {
-        let mut sink = LimitSink::new(&mut *out, limit);
-        let _ = self.query_sink(q, keywords, &mut sink, stats);
-        stats.emitted += sink.emitted();
-        stats.truncated |= sink.truncated();
-    }
-
-    /// Fallible query: validates the rectangle and keywords, then
-    /// appends every match to `out` and returns the execution
-    /// statistics. Equivalent to [`query`](Self::query) on valid
-    /// input.
-    ///
-    /// # Errors
-    ///
-    /// `SkqError::InvalidQuery` instead of panicking on a dimension
-    /// mismatch, NaN bounds, or a wrong number of distinct keywords.
-    pub fn try_query_into(
-        &self,
-        q: &Rect,
-        keywords: &[Keyword],
-        out: &mut Vec<u32>,
-    ) -> Result<QueryStats, SkqError> {
+    fn check_query(&self, q: &Rect, keywords: &[Keyword]) -> Result<(), SkqError> {
         validate::rect_query(q, self.dim)?;
-        validate::distinct_keywords(keywords, self.k)?;
-        let mut stats = QueryStats::new();
-        self.query_limited(q, keywords, usize::MAX, out, &mut stats);
-        Ok(stats)
+        validate::distinct_keywords(keywords, self.k)
     }
 
-    /// Streaming query: every matching object id is emitted into `sink`,
-    /// which decides whether to store, count, or stop. The other query
-    /// methods are thin wrappers over this.
-    pub fn query_sink<S: ResultSink>(
+    fn query_sink<S: ResultSink>(
         &self,
         q: &Rect,
         keywords: &[Keyword],
@@ -217,30 +167,7 @@ impl OrpKwIndex {
         }
     }
 
-    /// The number of matching objects, with no result materialization
-    /// (a [`CountSink`] run).
-    pub fn count(&self, q: &Rect, keywords: &[Keyword]) -> u64 {
-        let mut sink = CountSink::new();
-        let mut stats = QueryStats::new();
-        let _ = self.query_sink(q, keywords, &mut sink, &mut stats);
-        sink.count()
-    }
-
-    /// Whether at least `t` objects match (`O(N^{1−1/k} · t^{1/k})` by
-    /// early termination — see the proof of Corollary 4). Allocation-free
-    /// on the result side: a [`LimitSink`] over a [`CountSink`].
-    pub fn count_at_least(&self, q: &Rect, keywords: &[Keyword], t: usize) -> bool {
-        if t == 0 {
-            return true;
-        }
-        let mut sink = LimitSink::new(CountSink::new(), t);
-        let mut stats = QueryStats::new();
-        let _ = self.query_sink(q, keywords, &mut sink, &mut stats);
-        sink.emitted() >= t as u64
-    }
-
-    /// Index space in 64-bit words.
-    pub fn space_words(&self) -> usize {
+    fn space_words(&self) -> usize {
         match &self.inner {
             Inner::Kd { rank, tree } => {
                 // Rank arrays: d sorted columns of (coord, id).
@@ -251,21 +178,9 @@ impl OrpKwIndex {
         }
     }
 
-    /// Structural invariants (delegates to the framework; trivially Ok
-    /// for the dimension-reduction tree, whose invariants are asserted
-    /// by its own tests).
-    pub fn check_invariants(&self) -> Result<(), String> {
-        match &self.inner {
-            Inner::Kd { tree, .. } => tree.check_invariants(),
-            Inner::DimRed(_) => Ok(()),
-        }
-    }
-
-    /// Deep structural validation (`debug-invariants`; DESIGN.md §12):
-    /// delegates to the kd framework or the dimension-reduction tree,
+    /// Delegates to the kd framework or the dimension-reduction tree,
     /// each of which re-derives its invariants from the built structure.
-    #[cfg(feature = "debug-invariants")]
-    pub fn validate(&self) -> Result<(), crate::invariants::InvariantViolation> {
+    fn validate(&self) -> Result<(), InvariantViolation> {
         match &self.inner {
             Inner::Kd { tree, .. } => tree.validate(),
             Inner::DimRed(tree) => tree.validate(),
@@ -418,7 +333,7 @@ mod tests {
     fn matches_bruteforce_2d_k2() {
         let dataset = random_dataset(400, 2, 12, 11);
         let index = OrpKwIndex::build(&dataset, 2);
-        index.check_invariants().unwrap();
+        index.validate().unwrap();
         let mut rng = StdRng::seed_from_u64(12);
         for _ in 0..100 {
             let q = random_rect(&mut rng, 2);
@@ -438,7 +353,7 @@ mod tests {
     fn matches_bruteforce_1d_k3() {
         let dataset = random_dataset(300, 1, 8, 21);
         let index = OrpKwIndex::build(&dataset, 3);
-        index.check_invariants().unwrap();
+        index.validate().unwrap();
         let mut rng = StdRng::seed_from_u64(22);
         for _ in 0..100 {
             let q = random_rect(&mut rng, 1);

@@ -31,6 +31,7 @@ use crate::guard::{GuardedSink, QueryGuard};
 use crate::lc::LcKwIndex;
 use crate::naive::{KeywordsFirst, StructuredFirst};
 use crate::orp::OrpKwIndex;
+use crate::query::KeywordIndex;
 use crate::sink::{CountSink, ResultSink, TeeSink};
 use crate::stats::QueryStats;
 use crate::telemetry;
@@ -431,7 +432,7 @@ impl PlannedOrpKw {
             Plan::StructuredOnly => self.structured_first.query_rect(q, keywords),
             Plan::Framework => match &self.engine {
                 Engine::Framework(index) => index.query(q, keywords),
-                Engine::Linear(lc) => lc.query_rect(q, keywords),
+                Engine::Linear(lc) => lc.query(ConvexPolytope::from_rect(q).halfspaces(), keywords),
                 Engine::Naive => self.structured_first.query_rect(q, keywords),
             },
         };

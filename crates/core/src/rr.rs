@@ -12,16 +12,18 @@
 
 use std::ops::ControlFlow;
 
-use skq_geom::{Point, Rect};
+use skq_geom::{ConvexPolytope, Point, Rect};
 use skq_invidx::{Document, Keyword};
 
 use crate::dataset::Dataset;
 use crate::error::{validate, SkqError};
 use crate::failpoints;
+use crate::invariants::InvariantViolation;
 use crate::lc::LcKwIndex;
 use crate::orp::OrpKwIndex;
 use crate::persist::{self, Persist, SCHEMA_VERSION};
-use crate::sink::{DedupSink, LimitSink, ResultSink};
+use crate::query::KeywordIndex;
+use crate::sink::{DedupSink, ResultSink};
 use crate::stats::QueryStats;
 
 /// The RR-KW index over a set of `d`-rectangles with documents.
@@ -30,6 +32,7 @@ use crate::stats::QueryStats;
 ///
 /// ```
 /// use skq_core::rr::RrKwIndex;
+/// use skq_core::KeywordIndex;
 /// use skq_geom::Rect;
 ///
 /// // Document versions with lifespans (days).
@@ -88,63 +91,22 @@ impl RrKwIndex {
     pub fn k(&self) -> usize {
         self.orp.k()
     }
+}
 
-    /// Reports ids of data rectangles intersecting `q` whose documents
-    /// contain all `keywords`.
-    pub fn query(&self, q: &Rect, keywords: &[Keyword]) -> Vec<u32> {
-        self.query_with_stats(q, keywords).0
-    }
+impl KeywordIndex for RrKwIndex {
+    type Query = Rect;
 
-    /// Like [`query`](Self::query) with statistics.
-    pub fn query_with_stats(&self, q: &Rect, keywords: &[Keyword]) -> (Vec<u32>, QueryStats) {
-        let mut out = Vec::new();
-        let mut stats = QueryStats::new();
-        self.query_limited(q, keywords, usize::MAX, &mut out, &mut stats);
-        (out, stats)
-    }
-
-    /// Limited-output variant (threshold queries on intersecting
-    /// rectangles).
-    pub fn query_limited(
-        &self,
-        q: &Rect,
-        keywords: &[Keyword],
-        limit: usize,
-        out: &mut Vec<u32>,
-        stats: &mut QueryStats,
-    ) {
-        let mut sink = LimitSink::new(&mut *out, limit);
-        let _ = self.query_sink(q, keywords, &mut sink, stats);
-        stats.emitted += sink.emitted();
-        stats.truncated |= sink.truncated();
-    }
-
-    /// Fallible query: validates the query rectangle and keyword set,
-    /// then appends matching ids to `out`.
-    ///
-    /// # Errors
-    ///
-    /// `SkqError::InvalidQuery` on a dimension mismatch, NaN bounds, or
-    /// a keyword set that is not exactly `k` distinct keywords.
-    pub fn try_query_into(
-        &self,
-        q: &Rect,
-        keywords: &[Keyword],
-        out: &mut Vec<u32>,
-    ) -> Result<QueryStats, SkqError> {
+    fn check_query(&self, q: &Rect, keywords: &[Keyword]) -> Result<(), SkqError> {
         validate::rect_query(q, self.dim)?;
-        validate::distinct_keywords(keywords, self.k())?;
-        let mut stats = QueryStats::new();
-        self.query_limited(q, keywords, usize::MAX, out, &mut stats);
-        Ok(stats)
+        validate::distinct_keywords(keywords, self.k())
     }
 
-    /// Streaming variant. The `2d`-dimensional flattening maps each
-    /// rectangle to a single point, so a correct ORP-KW backend reports
-    /// each id at most once; a bitset [`DedupSink`] guards the reduction
-    /// anyway (one bit per rectangle), keeping the set semantics of the
-    /// composed index independent of backend internals.
-    pub fn query_sink<S: ResultSink>(
+    /// The `2d`-dimensional flattening maps each rectangle to a single
+    /// point, so a correct ORP-KW backend reports each id at most once;
+    /// a bitset [`DedupSink`] guards the reduction anyway (one bit per
+    /// rectangle), keeping the set semantics of the composed index
+    /// independent of backend internals.
+    fn query_sink<S: ResultSink>(
         &self,
         q: &Rect,
         keywords: &[Keyword],
@@ -157,22 +119,15 @@ impl RrKwIndex {
             .query_sink(&lift_query(q), keywords, &mut dedup, stats)
     }
 
-    /// Index space in 64-bit words.
-    pub fn space_words(&self) -> usize {
+    fn space_words(&self) -> usize {
         self.orp.space_words()
     }
 
-    /// Deep structural validation (`debug-invariants`; DESIGN.md §12):
-    /// the Corollary 3 flattening must have doubled the dimension, and
+    /// The Corollary 3 flattening must have doubled the dimension, and
     /// the inner ORP-KW index must itself validate.
-    ///
-    /// # Errors
-    ///
-    /// The first violated invariant, by name.
-    #[cfg(feature = "debug-invariants")]
-    pub fn validate(&self) -> Result<(), crate::invariants::InvariantViolation> {
+    fn validate(&self) -> Result<(), InvariantViolation> {
         if self.orp.dim() != 2 * self.dim {
-            return Err(crate::invariants::InvariantViolation::new(
+            return Err(InvariantViolation::new(
                 "rr::lifting",
                 format!(
                     "inner index is {}D, expected {} for {}D rectangles",
@@ -258,46 +213,35 @@ impl RrKwLinear {
             dim: rects[0].0.dim(),
         })
     }
+}
 
-    /// Reports ids of data rectangles intersecting `q` whose documents
-    /// contain all `keywords`.
-    pub fn query(&self, q: &Rect, keywords: &[Keyword]) -> Vec<u32> {
-        assert_eq!(q.dim(), self.dim, "query dimension mismatch");
-        self.lc.query_rect(&lift_query(q), keywords)
+impl KeywordIndex for RrKwLinear {
+    type Query = Rect;
+
+    fn check_query(&self, q: &Rect, keywords: &[Keyword]) -> Result<(), SkqError> {
+        validate::rect_query(q, self.dim)?;
+        validate::distinct_keywords(keywords, self.lc.k())
     }
 
-    /// Fallible [`query`](Self::query): validates inputs and appends
-    /// matching ids to `out`.
-    ///
-    /// # Errors
-    ///
-    /// `SkqError::InvalidQuery` on a dimension mismatch, NaN bounds, or
-    /// a keyword set that is not exactly `k` distinct keywords.
-    pub fn try_query_into(
+    fn query_sink<S: ResultSink>(
         &self,
         q: &Rect,
         keywords: &[Keyword],
-        out: &mut Vec<u32>,
-    ) -> Result<QueryStats, SkqError> {
-        validate::rect_query(q, self.dim)?;
-        validate::distinct_keywords(keywords, self.lc.k())?;
-        out.extend(self.lc.query_rect(&lift_query(q), keywords));
-        Ok(QueryStats::new())
+        sink: &mut S,
+        stats: &mut QueryStats,
+    ) -> ControlFlow<()> {
+        assert_eq!(q.dim(), self.dim, "query dimension mismatch");
+        let lifted = ConvexPolytope::from_rect(&lift_query(q));
+        self.lc.sp.query_sink(&lifted, keywords, sink, stats)
     }
 
-    /// Index space in 64-bit words (linear in `N`).
-    pub fn space_words(&self) -> usize {
+    /// Linear in `N`.
+    fn space_words(&self) -> usize {
         self.lc.space_words()
     }
 
-    /// Deep structural validation (`debug-invariants`; DESIGN.md §12):
-    /// delegates to the inner LC-KW index.
-    ///
-    /// # Errors
-    ///
-    /// The first violated invariant, by name.
-    #[cfg(feature = "debug-invariants")]
-    pub fn validate(&self) -> Result<(), crate::invariants::InvariantViolation> {
+    /// Delegates to the inner LC-KW index.
+    fn validate(&self) -> Result<(), InvariantViolation> {
         self.lc.validate()
     }
 }
@@ -490,6 +434,19 @@ mod tests {
             y.sort_unstable();
             assert_eq!(x, y);
         }
+    }
+
+    #[test]
+    fn linear_variant_reports_traversal_counters() {
+        let rects = random_rects(200, 2, 6, 23);
+        let index = RrKwLinear::try_build(&rects, 2).unwrap();
+        let q = Rect::new(&[10.0, 10.0], &[80.0, 80.0]);
+        let mut out = Vec::new();
+        let stats = index.try_query_into(&q, &[0, 1], &mut out).unwrap();
+        assert!(!out.is_empty(), "need a non-empty answer for the test");
+        assert!(stats.nodes_visited > 0);
+        assert_eq!(stats.reported, out.len() as u64);
+        assert_eq!(stats.emitted, out.len() as u64);
     }
 
     #[test]

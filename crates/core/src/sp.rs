@@ -12,7 +12,7 @@
 
 use std::ops::ControlFlow;
 
-use skq_geom::{ConvexPolytope, FlatPoints, Simplex};
+use skq_geom::{ConvexPolytope, FlatPoints};
 use skq_invidx::Keyword;
 
 use crate::dataset::Dataset;
@@ -21,8 +21,10 @@ use crate::failpoints;
 use crate::framework::{
     FrameworkConfig, KdPartitioner, QuadPartitioner, TransformedIndex, WillardPartitioner,
 };
+use crate::invariants::InvariantViolation;
 use crate::persist::{self, Persist, SCHEMA_VERSION};
-use crate::sink::{CountSink, LimitSink, ResultSink};
+use crate::query::KeywordIndex;
+use crate::sink::ResultSink;
 use crate::stats::QueryStats;
 
 /// Which partitioner backs the index.
@@ -53,6 +55,7 @@ enum Inner {
 /// ```
 /// use skq_core::dataset::Dataset;
 /// use skq_core::sp::SpKwIndex;
+/// use skq_core::KeywordIndex;
 /// use skq_geom::{Point, Simplex};
 ///
 /// let data = Dataset::from_parts(vec![
@@ -66,7 +69,7 @@ enum Inner {
 ///     Point::new2(5.0, 0.0),
 ///     Point::new2(0.0, 5.0),
 /// ]).unwrap();
-/// assert_eq!(index.query_simplex(&triangle, &[0, 1]), vec![0]);
+/// assert_eq!(index.query(&triangle.to_polytope(), &[0, 1]), vec![0]);
 /// ```
 pub struct SpKwIndex {
     inner: Inner,
@@ -205,71 +208,34 @@ impl SpKwIndex {
         }
     }
 
-    /// Reports all objects inside the convex region `q` (a conjunction
-    /// of halfspaces) whose documents contain all `keywords`.
-    pub fn query_polytope(&self, q: &ConvexPolytope, keywords: &[Keyword]) -> Vec<u32> {
-        let mut out = Vec::new();
-        let mut stats = QueryStats::new();
-        self.query_limited(q, keywords, usize::MAX, &mut out, &mut stats);
-        out
+    /// `(level, weight, pivots, large)` per framework node — tree-shape
+    /// diagnostics for the harness.
+    pub fn node_summaries(&self) -> Vec<(u32, u64, usize, usize)> {
+        match &self.inner {
+            Inner::Willard(t) => t.node_summaries().collect(),
+            Inner::Kd(t) => t.node_summaries().collect(),
+            Inner::Quad(t) => t.node_summaries().collect(),
+        }
     }
 
-    /// Like [`query_polytope`](Self::query_polytope) with statistics.
-    pub fn query_with_stats(
-        &self,
-        q: &ConvexPolytope,
-        keywords: &[Keyword],
-    ) -> (Vec<u32>, QueryStats) {
-        let mut out = Vec::new();
-        let mut stats = QueryStats::new();
-        self.query_limited(q, keywords, usize::MAX, &mut out, &mut stats);
-        (out, stats)
+    /// The stored point set, exposed so lifting-based wrappers (SRP-KW)
+    /// can cross-check their lifted coordinates during deep validation.
+    pub(crate) fn validate_points(&self) -> &FlatPoints {
+        &self.points
     }
+}
 
-    /// Fallible query: validates the constraint conjunction and keyword
-    /// set, then appends matching ids to `out`.
-    ///
-    /// # Errors
-    ///
-    /// `SkqError::InvalidQuery` on a dimension mismatch, NaN
-    /// coefficients, or a keyword set that is not exactly `k` distinct
-    /// keywords.
-    pub fn try_query_into(
-        &self,
-        q: &ConvexPolytope,
-        keywords: &[Keyword],
-        out: &mut Vec<u32>,
-    ) -> Result<QueryStats, SkqError> {
+impl KeywordIndex for SpKwIndex {
+    /// A conjunction of halfspaces; a simplex converts with
+    /// [`Simplex::to_polytope`](skq_geom::Simplex::to_polytope).
+    type Query = ConvexPolytope;
+
+    fn check_query(&self, q: &ConvexPolytope, keywords: &[Keyword]) -> Result<(), SkqError> {
         validate::polytope_query(q, self.dim)?;
-        validate::distinct_keywords(keywords, self.k)?;
-        let mut stats = QueryStats::new();
-        self.query_limited(q, keywords, usize::MAX, out, &mut stats);
-        Ok(stats)
+        validate::distinct_keywords(keywords, self.k)
     }
 
-    /// Reports all matching objects inside a `d`-simplex.
-    pub fn query_simplex(&self, q: &Simplex, keywords: &[Keyword]) -> Vec<u32> {
-        assert_eq!(q.dim(), self.dim);
-        self.query_polytope(&q.to_polytope(), keywords)
-    }
-
-    /// Limited-output variant (threshold queries).
-    pub fn query_limited(
-        &self,
-        q: &ConvexPolytope,
-        keywords: &[Keyword],
-        limit: usize,
-        out: &mut Vec<u32>,
-        stats: &mut QueryStats,
-    ) {
-        let mut sink = LimitSink::new(&mut *out, limit);
-        let _ = self.query_sink(q, keywords, &mut sink, stats);
-        stats.emitted += sink.emitted();
-        stats.truncated |= sink.truncated();
-    }
-
-    /// Streaming query: matching object ids are emitted into `sink`.
-    pub fn query_sink<S: ResultSink>(
+    fn query_sink<S: ResultSink>(
         &self,
         q: &ConvexPolytope,
         keywords: &[Keyword],
@@ -305,30 +271,9 @@ impl SpKwIndex {
         }
     }
 
-    /// The number of matching objects, with no result materialization.
-    pub fn count(&self, q: &ConvexPolytope, keywords: &[Keyword]) -> u64 {
-        let mut sink = CountSink::new();
-        let mut stats = QueryStats::new();
-        let _ = self.query_sink(q, keywords, &mut sink, &mut stats);
-        sink.count()
-    }
-
-    /// Whether at least `t` objects match, by early termination
-    /// (allocation-free on the result side).
-    pub fn count_at_least(&self, q: &ConvexPolytope, keywords: &[Keyword], t: usize) -> bool {
-        if t == 0 {
-            return true;
-        }
-        let mut sink = LimitSink::new(CountSink::new(), t);
-        let mut stats = QueryStats::new();
-        let _ = self.query_sink(q, keywords, &mut sink, &mut stats);
-        sink.emitted() >= t as u64
-    }
-
-    /// Index space in 64-bit words (cells charged as a constant; the
-    /// Willard polygons average `O(1)` vertices because each level adds
-    /// at most two clips).
-    pub fn space_words(&self) -> usize {
+    /// Cells charged as a constant; the Willard polygons average `O(1)`
+    /// vertices because each level adds at most two clips.
+    fn space_words(&self) -> usize {
         let point_words = self.points.len() * self.dim;
         point_words
             + match &self.inner {
@@ -338,43 +283,9 @@ impl SpKwIndex {
             }
     }
 
-    /// `(level, weight, pivots, large)` per framework node — tree-shape
-    /// diagnostics for the harness.
-    pub fn node_summaries(&self) -> Vec<(u32, u64, usize, usize)> {
-        match &self.inner {
-            Inner::Willard(t) => t.node_summaries().collect(),
-            Inner::Kd(t) => t.node_summaries().collect(),
-            Inner::Quad(t) => t.node_summaries().collect(),
-        }
-    }
-
-    /// Structural invariants of the underlying framework.
-    pub fn check_invariants(&self) -> Result<(), String> {
-        match &self.inner {
-            Inner::Willard(t) => t.check_invariants(),
-            Inner::Kd(t) => t.check_invariants(),
-            // Midpoint splits carry no weight-halving guarantee.
-            Inner::Quad(t) => t.check_invariants_with(false),
-        }
-    }
-
-    /// The stored point set, exposed so lifting-based wrappers (SRP-KW)
-    /// can cross-check their lifted coordinates during deep validation.
-    #[cfg(feature = "debug-invariants")]
-    pub(crate) fn validate_points(&self) -> &FlatPoints {
-        &self.points
-    }
-
-    /// Deep structural validation (`debug-invariants`; DESIGN.md §12).
-    ///
-    /// # Errors
-    ///
-    /// The first violated invariant, by name.
-    #[cfg(feature = "debug-invariants")]
-    pub fn validate(&self) -> Result<(), crate::invariants::InvariantViolation> {
-        use crate::invariants::InvariantViolation as V;
+    fn validate(&self) -> Result<(), InvariantViolation> {
         if self.points.dim() != self.dim {
-            return Err(V::new(
+            return Err(InvariantViolation::new(
                 "sp::points",
                 format!(
                     "stored points of dimension {}, index is {}D",
@@ -460,7 +371,7 @@ impl Persist for SpKwIndex {
 mod tests {
     use super::*;
     use rand::{rngs::StdRng, Rng, SeedableRng};
-    use skq_geom::{Halfspace, Point};
+    use skq_geom::{Halfspace, Point, Simplex};
 
     fn random_dataset(n: usize, dim: usize, vocab: u32, seed: u64) -> Dataset {
         let mut rng = StdRng::seed_from_u64(seed);
@@ -499,14 +410,14 @@ mod tests {
         let dataset = random_dataset(400, 2, 10, 1);
         let index = SpKwIndex::build(&dataset, 2);
         assert_eq!(index.strategy(), SpStrategy::Willard);
-        index.check_invariants().unwrap();
+        index.validate().unwrap();
         let mut rng = StdRng::seed_from_u64(2);
         for _ in 0..60 {
             let s = rng.gen_range(1..4);
             let q = random_halfspaces(&mut rng, 2, s);
             let w1 = rng.gen_range(0..10);
             let w2 = (w1 + 1 + rng.gen_range(0..9)) % 10;
-            let mut got = index.query_polytope(&q, &[w1, w2]);
+            let mut got = index.query(&q, &[w1, w2]);
             got.sort_unstable();
             assert_eq!(got, brute(&dataset, &q, &[w1, w2]));
         }
@@ -521,7 +432,7 @@ mod tests {
             let q = random_halfspaces(&mut rng, 2, 2);
             let w1 = rng.gen_range(0..8);
             let w2 = (w1 + 1 + rng.gen_range(0..7)) % 8;
-            let mut got = index.query_polytope(&q, &[w1, w2]);
+            let mut got = index.query(&q, &[w1, w2]);
             got.sort_unstable();
             assert_eq!(got, brute(&dataset, &q, &[w1, w2]));
         }
@@ -539,7 +450,7 @@ mod tests {
             Point::new3(0.0, 0.0, 40.0),
         ])
         .unwrap();
-        let mut got = index.query_simplex(&simplex, &[0, 1]);
+        let mut got = index.query(&simplex.to_polytope(), &[0, 1]);
         got.sort_unstable();
         assert_eq!(got, brute(&dataset, &simplex.to_polytope(), &[0, 1]));
     }
@@ -554,7 +465,7 @@ mod tests {
             Point::new2(0.0, 18.0),
         ])
         .unwrap();
-        let mut got = index.query_simplex(&tri, &[0, 1]);
+        let mut got = index.query(&tri.to_polytope(), &[0, 1]);
         got.sort_unstable();
         assert_eq!(got, brute(&dataset, &tri.to_polytope(), &[0, 1]));
     }
@@ -564,7 +475,7 @@ mod tests {
         let dataset = random_dataset(200, 2, 5, 41);
         let index = SpKwIndex::build(&dataset, 2);
         let q = ConvexPolytope::default();
-        let mut got = index.query_polytope(&q, &[0, 2]);
+        let mut got = index.query(&q, &[0, 2]);
         got.sort_unstable();
         assert_eq!(got, brute(&dataset, &q, &[0, 2]));
     }
@@ -578,7 +489,7 @@ mod tests {
         let q = random_halfspaces(&mut rng, 2, 2);
         let mut out = Vec::new();
         index.try_query_into(&q, &[0, 1], &mut out).unwrap();
-        let mut expected = legacy.query_polytope(&q, &[0, 1]);
+        let mut expected = legacy.query(&q, &[0, 1]);
         out.sort_unstable();
         expected.sort_unstable();
         assert_eq!(out, expected);
@@ -618,7 +529,7 @@ mod tests {
                     ws.push(w);
                 }
             }
-            let mut got = index.query_polytope(&q, &ws);
+            let mut got = index.query(&q, &ws);
             got.sort_unstable();
             assert_eq!(got, brute(&dataset, &q, &ws));
         }

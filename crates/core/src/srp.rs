@@ -14,8 +14,10 @@ use skq_invidx::Keyword;
 use crate::dataset::Dataset;
 use crate::error::{validate, SkqError};
 use crate::failpoints;
+use crate::invariants::InvariantViolation;
 use crate::persist::{self, Persist, SCHEMA_VERSION};
-use crate::sink::{CountSink, LimitSink, ResultSink};
+use crate::query::KeywordIndex;
+use crate::sink::ResultSink;
 use crate::sp::SpKwIndex;
 use crate::stats::QueryStats;
 use crate::telemetry;
@@ -27,6 +29,7 @@ use crate::telemetry;
 /// ```
 /// use skq_core::dataset::Dataset;
 /// use skq_core::srp::SrpKwIndex;
+/// use skq_core::KeywordIndex;
 /// use skq_geom::{Ball, Point};
 ///
 /// let data = Dataset::from_parts(vec![
@@ -102,90 +105,10 @@ impl SrpKwIndex {
         self.sp.k()
     }
 
-    /// Reports objects inside `ball` whose documents contain all
-    /// `keywords`.
-    pub fn query(&self, ball: &Ball, keywords: &[Keyword]) -> Vec<u32> {
-        self.query_with_stats(ball, keywords).0
-    }
-
-    /// Like [`query`](Self::query) with statistics.
-    pub fn query_with_stats(&self, ball: &Ball, keywords: &[Keyword]) -> (Vec<u32>, QueryStats) {
-        assert_eq!(ball.dim(), self.dim, "query dimension mismatch");
-        self.query_sq_with_stats(ball.center(), ball.radius() * ball.radius(), keywords)
-    }
-
-    /// Queries by *squared* radius — exact for integer coordinates, and
-    /// the primitive the L2-NN binary search (Corollary 7) needs.
-    pub fn query_sq(&self, center: &Point, radius_sq: f64, keywords: &[Keyword]) -> Vec<u32> {
-        self.query_sq_with_stats(center, radius_sq, keywords).0
-    }
-
-    /// [`query_sq`](Self::query_sq) with statistics.
-    pub fn query_sq_with_stats(
-        &self,
-        center: &Point,
-        radius_sq: f64,
-        keywords: &[Keyword],
-    ) -> (Vec<u32>, QueryStats) {
-        let mut out = Vec::new();
-        let mut stats = QueryStats::new();
-        self.query_sq_limited(
-            center,
-            radius_sq,
-            keywords,
-            usize::MAX,
-            &mut out,
-            &mut stats,
-        );
-        (out, stats)
-    }
-
-    /// Fallible squared-radius query: validates the center, radius, and
-    /// keyword set, then appends matching ids to `out`.
-    ///
-    /// # Errors
-    ///
-    /// `SkqError::InvalidQuery` on a dimension mismatch, a non-finite
-    /// center or negative/NaN radius, or a keyword set that is not
-    /// exactly `k` distinct keywords.
-    pub fn try_query_into(
-        &self,
-        center: &Point,
-        radius_sq: f64,
-        keywords: &[Keyword],
-        out: &mut Vec<u32>,
-    ) -> Result<QueryStats, SkqError> {
-        validate::point_query(center, self.dim)?;
-        if !(radius_sq.is_finite() && radius_sq >= 0.0) {
-            return Err(SkqError::InvalidQuery(format!(
-                "squared radius must be finite and non-negative, got {radius_sq}"
-            )));
-        }
-        validate::distinct_keywords(keywords, self.k())?;
-        let mut stats = QueryStats::new();
-        self.query_sq_limited(center, radius_sq, keywords, usize::MAX, out, &mut stats);
-        Ok(stats)
-    }
-
-    /// Limited-output squared-radius query (threshold queries).
-    pub fn query_sq_limited(
-        &self,
-        center: &Point,
-        radius_sq: f64,
-        keywords: &[Keyword],
-        limit: usize,
-        out: &mut Vec<u32>,
-        stats: &mut QueryStats,
-    ) {
-        let mut sink = LimitSink::new(&mut *out, limit);
-        let _ = self.query_sq_sink(center, radius_sq, keywords, &mut sink, stats);
-        stats.emitted += sink.emitted();
-        stats.truncated |= sink.truncated();
-    }
-
-    /// Streaming squared-radius query: matching ids are emitted into
-    /// `sink` — the primitive behind the allocation-free L2-NN probes.
-    pub fn query_sq_sink<S: ResultSink>(
+    /// Streaming query by *squared* radius — exact for integer
+    /// coordinates, and the primitive the L2-NN binary search
+    /// (Corollary 7) needs.
+    pub(crate) fn query_sq_sink<S: ResultSink>(
         &self,
         center: &Point,
         radius_sq: f64,
@@ -199,41 +122,42 @@ impl SrpKwIndex {
         self.sp
             .query_sink(&ConvexPolytope::from_halfspace(hs), keywords, sink, stats)
     }
+}
 
-    /// Whether at least `t` objects match, by early termination
-    /// (allocation-free on the result side).
-    pub fn count_at_least(
-        &self,
-        center: &Point,
-        radius_sq: f64,
-        keywords: &[Keyword],
-        t: usize,
-    ) -> bool {
-        if t == 0 {
-            return true;
+impl KeywordIndex for SrpKwIndex {
+    type Query = Ball;
+
+    fn check_query(&self, ball: &Ball, keywords: &[Keyword]) -> Result<(), SkqError> {
+        validate::point_query(ball.center(), self.dim)?;
+        let radius_sq = ball.radius() * ball.radius();
+        if !radius_sq.is_finite() {
+            return Err(SkqError::InvalidQuery(format!(
+                "squared radius must be finite, got {radius_sq}"
+            )));
         }
-        let mut sink = LimitSink::new(CountSink::new(), t);
-        let mut stats = QueryStats::new();
-        let _ = self.query_sq_sink(center, radius_sq, keywords, &mut sink, &mut stats);
-        sink.emitted() >= t as u64
+        validate::distinct_keywords(keywords, self.k())
     }
 
-    /// Index space in 64-bit words.
-    pub fn space_words(&self) -> usize {
+    fn query_sink<S: ResultSink>(
+        &self,
+        ball: &Ball,
+        keywords: &[Keyword],
+        sink: &mut S,
+        stats: &mut QueryStats,
+    ) -> ControlFlow<()> {
+        let radius_sq = ball.radius() * ball.radius();
+        self.query_sq_sink(ball.center(), radius_sq, keywords, sink, stats)
+    }
+
+    fn space_words(&self) -> usize {
         self.sp.space_words()
     }
 
-    /// Deep structural validation (`debug-invariants`; DESIGN.md §12):
-    /// re-derives the Lemma 10 lifting — every stored point's last
+    /// Re-derives the Lemma 10 lifting — every stored point's last
     /// coordinate must equal the squared norm of its first `d` — then
     /// recurses into the inner SP-KW index.
-    ///
-    /// # Errors
-    ///
-    /// The first violated invariant, by name.
-    #[cfg(feature = "debug-invariants")]
-    pub fn validate(&self) -> Result<(), crate::invariants::InvariantViolation> {
-        use crate::invariants::InvariantViolation as V;
+    fn validate(&self) -> Result<(), InvariantViolation> {
+        use InvariantViolation as V;
         if self.sp.dim() != self.dim + 1 {
             return Err(V::new(
                 "srp::lifting",
@@ -417,25 +341,27 @@ mod tests {
         let center = Point::new2(0.0, 0.0);
         let mut out = Vec::new();
         let stats = index
-            .try_query_into(&center, 400.0, &[0, 1], &mut out)
+            .try_query_into(&Ball::new(center, 20.0), &[0, 1], &mut out)
             .unwrap();
-        let mut expected = legacy.query_sq(&center, 400.0, &[0, 1]);
+        let mut expected = legacy.query(&Ball::new(center, 20.0), &[0, 1]);
         out.sort_unstable();
         expected.sort_unstable();
         assert_eq!(out, expected);
         assert_eq!(stats.emitted, out.len() as u64);
-        // Validation surfaces.
+        // Validation surfaces. `Ball::new` itself rejects a negative or
+        // NaN radius; the query surface rejects radii whose square is
+        // not finite.
         let mut scratch = Vec::new();
         assert!(matches!(
-            index.try_query_into(&center, -1.0, &[0, 1], &mut scratch),
+            index.try_query_into(&Ball::new(center, f64::INFINITY), &[0, 1], &mut scratch),
             Err(SkqError::InvalidQuery(_))
         ));
         assert!(matches!(
-            index.try_query_into(&center, f64::NAN, &[0, 1], &mut scratch),
+            index.try_query_into(&Ball::new(center, 1e200), &[0, 1], &mut scratch),
             Err(SkqError::InvalidQuery(_))
         ));
         assert!(matches!(
-            index.try_query_into(&Point::new1(0.0), 1.0, &[0, 1], &mut scratch),
+            index.try_query_into(&Ball::new(Point::new1(0.0), 1.0), &[0, 1], &mut scratch),
             Err(SkqError::InvalidQuery(_))
         ));
         assert!(matches!(

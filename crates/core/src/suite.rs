@@ -18,9 +18,11 @@ use skq_invidx::{CsrDocs, InvertedIndex, Keyword};
 use crate::dataset::Dataset;
 use crate::error::{validate, SkqError};
 use crate::guard::{GuardedSink, QueryGuard};
+use crate::invariants::InvariantViolation;
 use crate::orp::OrpKwIndex;
 use crate::persist::{self, Persist, SCHEMA_VERSION};
-use crate::sink::{FilterSink, ResultSink};
+use crate::query::KeywordIndex;
+use crate::sink::{FilterSink, LimitSink, ResultSink};
 use crate::stats::QueryStats;
 use crate::telemetry;
 
@@ -32,6 +34,7 @@ use crate::telemetry;
 /// ```
 /// use skq_core::dataset::Dataset;
 /// use skq_core::suite::OrpKwSuite;
+/// use skq_core::KeywordIndex;
 /// use skq_geom::{Point, Rect};
 ///
 /// let data = Dataset::from_parts(vec![
@@ -114,73 +117,9 @@ impl OrpKwSuite {
         self.points.is_empty()
     }
 
-    /// Reports all objects in `q` containing all of `keywords`
-    /// (any number of them; duplicates ignored):
-    ///
-    /// * `k = 0` — pure range query (inverted fallback over all ids);
-    /// * `k = 1` — postings scan + geometric filter;
-    /// * `2 ≤ k ≤ k_max` — the matching framework index;
-    /// * `k > k_max` — the `k_max` index over the `k_max` *rarest*
-    ///   keywords, then post-filtering by the rest (a safe superset).
-    pub fn query(&self, q: &Rect, keywords: &[Keyword]) -> Vec<u32> {
-        let span = skq_obs::Span::enter("orp.suite_query");
-        let mut kws = keywords.to_vec();
-        kws.sort_unstable();
-        kws.dedup();
-        let mut stats = QueryStats::new();
-        let mut result = Vec::new();
-        let (route, _) = self.dispatch(q, &kws, &mut result, &mut stats);
-        stats.emitted = result.len() as u64;
-        telemetry::record_query_planned(
-            "orp_suite",
-            kws.len(),
-            Some(route),
-            &stats,
-            span.elapsed(),
-            None,
-            None,
-        );
-        result
-    }
-
-    /// Fallible query: validates the rectangle, then routes like
-    /// [`query`](Self::query) — any number of distinct keywords is
-    /// acceptable, that is the suite's job — appending the matches to
-    /// `out`.
-    ///
-    /// # Errors
-    ///
-    /// `SkqError::InvalidQuery` on a dimension mismatch or NaN bounds.
-    pub fn try_query_into(
-        &self,
-        q: &Rect,
-        keywords: &[Keyword],
-        out: &mut Vec<u32>,
-    ) -> Result<(), SkqError> {
-        validate::rect_query(q, self.dim())?;
-        out.extend(self.query(q, keywords));
-        Ok(())
-    }
-
-    /// Streaming variant of [`query`](Self::query): matching ids are
-    /// emitted into `sink` as they are found, so counting or limited
-    /// queries materialize no result vector on any route.
-    pub fn query_sink<S: ResultSink>(
-        &self,
-        q: &Rect,
-        keywords: &[Keyword],
-        sink: &mut S,
-        stats: &mut QueryStats,
-    ) -> ControlFlow<()> {
-        let mut kws = keywords.to_vec();
-        kws.sort_unstable();
-        kws.dedup();
-        self.dispatch(q, &kws, sink, stats).1
-    }
-
-    /// Guarded variant of [`query`](Self::query): enforces the deadline
-    /// / cancellation / result budget of `guard` on whatever route the
-    /// keyword count selects. Results collected before a limit trips
+    /// Guarded variant of [`query`](KeywordIndex::query): enforces the
+    /// deadline / cancellation / result budget of `guard` on whatever
+    /// route the keyword count selects. Results collected before a limit trips
     /// are kept (sorted), and the returned stats carry the
     /// [`truncated_reason`](QueryStats).
     pub fn query_guarded(
@@ -309,42 +248,11 @@ impl OrpKwSuite {
     pub fn space_words(&self) -> usize {
         self.indexes
             .iter()
-            .map(OrpKwIndex::space_words)
+            .map(KeywordIndex::space_words)
             .sum::<usize>()
             + self.inv.input_size() * 2
     }
 
-    /// Deep structural validation (`debug-invariants`; DESIGN.md §12):
-    /// every per-`k` member index and the inverted fallback must
-    /// validate, and the suite's own documents must be well-formed CSR
-    /// rows, one per object.
-    ///
-    /// # Errors
-    ///
-    /// The first violated invariant, by name.
-    #[cfg(feature = "debug-invariants")]
-    pub fn validate(&self) -> Result<(), crate::invariants::InvariantViolation> {
-        use crate::invariants::InvariantViolation as V;
-        self.docs
-            .check()
-            .map_err(|d| V::new("suite::documents", d))?;
-        if self.docs.len() != self.points.len() {
-            return Err(V::new(
-                "suite::documents",
-                format!(
-                    "{} documents for {} points",
-                    self.docs.len(),
-                    self.points.len()
-                ),
-            ));
-        }
-        for index in &self.indexes {
-            index.validate()?;
-        }
-        self.inv
-            .validate()
-            .map_err(|detail| V::new("invidx::postings", detail))
-    }
     /// Decodes a suite from snapshot bytes (DESIGN.md §15) and — under
     /// the `debug-invariants` feature — deep-validates the result, so a
     /// checksum-valid but structurally inconsistent snapshot is refused
@@ -367,6 +275,97 @@ impl OrpKwSuite {
             detail: v.to_string(),
         })?;
         Ok(suite)
+    }
+}
+
+/// Any number of distinct query keywords is acceptable — routing them
+/// is the suite's job — so [`check_query`](KeywordIndex::check_query)
+/// checks the rectangle alone.
+impl KeywordIndex for OrpKwSuite {
+    type Query = Rect;
+
+    fn check_query(&self, q: &Rect, _: &[Keyword]) -> Result<(), SkqError> {
+        validate::rect_query(q, self.dim())
+    }
+
+    /// Routes by the number of distinct keywords:
+    ///
+    /// * `k = 0` — pure range query (a scan over all ids);
+    /// * `k = 1` — postings scan + geometric filter;
+    /// * `2 ≤ k ≤ k_max` — the matching framework index;
+    /// * `k > k_max` — the `k_max` index over the `k_max` *rarest*
+    ///   keywords, then post-filtering by the rest (a safe superset).
+    fn query_sink<S: ResultSink>(
+        &self,
+        q: &Rect,
+        keywords: &[Keyword],
+        sink: &mut S,
+        stats: &mut QueryStats,
+    ) -> ControlFlow<()> {
+        let mut kws = keywords.to_vec();
+        kws.sort_unstable();
+        kws.dedup();
+        self.dispatch(q, &kws, sink, stats).1
+    }
+
+    /// The provided collecting queries (`query`, `query_with_stats`,
+    /// `try_query_into`) all run here; the suite records each in the
+    /// query log with its route.
+    fn query_limited(
+        &self,
+        q: &Rect,
+        keywords: &[Keyword],
+        limit: usize,
+        out: &mut Vec<u32>,
+        stats: &mut QueryStats,
+    ) {
+        let span = skq_obs::Span::enter("orp.suite_query");
+        let mut kws = keywords.to_vec();
+        kws.sort_unstable();
+        kws.dedup();
+        let mut sink = LimitSink::new(&mut *out, limit);
+        let (route, _) = self.dispatch(q, &kws, &mut sink, stats);
+        stats.emitted += sink.emitted();
+        stats.truncated |= sink.truncated();
+        telemetry::record_query_planned(
+            "orp_suite",
+            kws.len(),
+            Some(route),
+            stats,
+            span.elapsed(),
+            None,
+            None,
+        );
+    }
+
+    fn space_words(&self) -> usize {
+        OrpKwSuite::space_words(self)
+    }
+
+    /// Every per-`k` member index and the inverted fallback must
+    /// validate, and the suite's own documents must be well-formed CSR
+    /// rows, one per object.
+    fn validate(&self) -> Result<(), InvariantViolation> {
+        use InvariantViolation as V;
+        self.docs
+            .check()
+            .map_err(|d| V::new("suite::documents", d))?;
+        if self.docs.len() != self.points.len() {
+            return Err(V::new(
+                "suite::documents",
+                format!(
+                    "{} documents for {} points",
+                    self.docs.len(),
+                    self.points.len()
+                ),
+            ));
+        }
+        for index in &self.indexes {
+            index.validate()?;
+        }
+        self.inv
+            .validate()
+            .map_err(|detail| V::new("invidx::postings", detail))
     }
 }
 

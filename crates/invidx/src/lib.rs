@@ -11,20 +11,16 @@
 //!   intersection, the "keywords only" naive solution of the paper's
 //!   introduction;
 //! * [`Analyzer`] — tokenization/normalization from free-form text to
-//!   keyword documents;
-//! * [`CompressedInvertedIndex`] — the same baseline at its production
-//!   space footprint (delta + varint postings with skip tables).
+//!   keyword documents.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-pub mod compressed;
 pub mod dict;
 pub mod doc;
 pub mod postings;
 pub mod text;
 
-pub use compressed::{CompressedInvertedIndex, CompressedPostings};
 pub use dict::Dictionary;
 pub use doc::{CsrDocs, Document};
 pub use postings::InvertedIndex;

@@ -93,9 +93,7 @@ impl InvertedIndex {
     /// galloping intersection assumes it), in range, and the list
     /// lengths must sum to the recorded input size `N` (documents are
     /// deduplicated on construction, so each keyword contributes one
-    /// posting). Unconditionally available — this crate is a leaf with
-    /// no feature graph; `skq-core` re-exports it behind
-    /// `debug-invariants`.
+    /// posting). `skq-core`'s suite validation calls it.
     ///
     /// # Errors
     ///

@@ -23,7 +23,7 @@ use skq_core::dynamic::ObjectHandle;
 use skq_core::nn_linf::LinfNnIndex;
 use skq_core::srp::SrpKwIndex;
 use skq_core::suite::OrpKwSuite;
-use skq_core::Dataset;
+use skq_core::{Dataset, KeywordIndex, NnQuery};
 use skq_geom::{Ball, Point, Rect};
 use skq_invidx::{Document, Keyword};
 use skq_store::{DurabilityConfig, DurableDynamic};
@@ -345,7 +345,7 @@ fn cmd_verify(a: &Args) -> Result<(), ExitCode> {
         // NN: L∞ distances can tie on the grid, so compare the sorted
         // distance profile, not the id set.
         let t = 1 + qrng.below(5) as usize;
-        let nn_ids = nn.query(&center, t, &kws);
+        let nn_ids = nn.query(&NnQuery::new(center, t), &kws);
         let mut nn_dists: Vec<f64> = nn_ids
             .iter()
             .map(|&i| expect[i as usize].1.linf(&center))

@@ -34,7 +34,9 @@ use skq_core::error::validate;
 use skq_core::failpoints;
 use skq_core::sink::{CountSink, ResultSink as _};
 use skq_core::suite::OrpKwSuite;
-use skq_core::{CancelToken, GuardedSink, QueryGuard, QueryStats, SkqError, TruncatedReason};
+use skq_core::{
+    CancelToken, GuardedSink, KeywordIndex, QueryGuard, QueryStats, SkqError, TruncatedReason,
+};
 use skq_geom::Rect;
 use skq_invidx::Keyword;
 

@@ -29,6 +29,7 @@
 //! ```
 //! use skq_core::dataset::Dataset;
 //! use skq_core::suite::OrpKwSuite;
+//! use skq_core::KeywordIndex;
 //! use skq_geom::{Point, Rect};
 //! use skq_store::{IndexBackend, MemBackend};
 //!
@@ -363,6 +364,7 @@ mod tests {
     use super::*;
     use skq_core::dataset::Dataset;
     use skq_core::suite::OrpKwSuite;
+    use skq_core::KeywordIndex;
     use skq_geom::{Point, Rect};
 
     fn suite() -> OrpKwSuite {

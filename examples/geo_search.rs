@@ -107,7 +107,7 @@ fn main() {
     // --- Nearest neighbours: "5 closest POIs with both tags". ------
     let q = gen.integer_point();
     let t = Instant::now();
-    let nearest = nn.query(&q, 5, &kws);
+    let nearest = nn.query(&NnQuery::new(q, 5), &kws);
     println!(
         "\nNN     query point {q:?}, t = 5, tags {kws:?} ({:.1?})",
         t.elapsed()

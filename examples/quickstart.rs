@@ -80,7 +80,7 @@ fn main() {
     // --- Nearest by value profile (L∞NN-KW, Corollary 4). ---------
     let nn = LinfNnIndex::build(&hotels, wanted.len());
     let target = Point::new2(150.0, 9.0);
-    let best = nn.query(&target, 2, &wanted);
+    let best = nn.query(&NnQuery::new(target, 2), &wanted);
     println!("\n2 hotels with all keywords closest to (price 150, rating 9) under L∞:");
     for id in &best {
         let p = hotels.point(*id as usize);

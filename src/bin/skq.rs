@@ -194,20 +194,18 @@ fn run(args: &[String]) -> Result<(), CliError> {
                             "--radius must be finite and non-negative".to_string(),
                         ));
                     }
-                    let radius_sq = radius * radius;
+                    let ball = Ball::new(center, radius);
                     let index = SrpKwIndex::build(&loaded.dataset, k);
                     let mut stats = QueryStats::new();
                     if count_only {
                         let mut sink =
                             GuardedSink::new(LimitSink::new(CountSink::new(), limit), &guard);
-                        let _ = index
-                            .query_sq_sink(&center, radius_sq, &tag_ids, &mut sink, &mut stats);
+                        let _ = index.query_sink(&ball, &tag_ids, &mut sink, &mut stats);
                         finish_guarded(&mut stats, &sink);
                         (None, stats)
                     } else {
                         let mut sink = GuardedSink::new(LimitSink::new(Vec::new(), limit), &guard);
-                        let _ = index
-                            .query_sq_sink(&center, radius_sq, &tag_ids, &mut sink, &mut stats);
+                        let _ = index.query_sink(&ball, &tag_ids, &mut sink, &mut stats);
                         finish_guarded(&mut stats, &sink);
                         (Some(sink.into_inner().into_inner()), stats)
                     }
@@ -222,7 +220,7 @@ fn run(args: &[String]) -> Result<(), CliError> {
                         .parse()
                         .map_err(|_| CliError::BadArg("--t must be an integer".to_string()))?;
                     let index = LinfNnIndex::build(&loaded.dataset, k);
-                    let (hits, stats) = index.query_with_stats(&at, t, &tag_ids);
+                    let (hits, stats) = index.query_with_stats(&NnQuery::new(at, t), &tag_ids);
                     (Some(hits), stats)
                 }
             };

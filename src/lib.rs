@@ -71,6 +71,8 @@ pub use skq_workload as workload;
 
 /// The most commonly used types, re-exported flat.
 ///
+/// Every problem index implements [`KeywordIndex`](prelude::KeywordIndex),
+/// the one query contract (`query`, `query_with_stats`, `count`, …).
 /// Robustness types ride along: every index has a fallible
 /// `try_build`/`try_query_into` surface returning
 /// [`SkqError`](prelude::SkqError), and any query can run under a
@@ -88,6 +90,7 @@ pub mod prelude {
     pub use skq_core::nn_l2::L2NnIndex;
     pub use skq_core::nn_linf::LinfNnIndex;
     pub use skq_core::orp::OrpKwIndex;
+    pub use skq_core::query::{KeywordIndex, NnQuery};
     pub use skq_core::rr::{RrKwIndex, RrKwLinear};
     pub use skq_core::sink::{
         CollectSink, CountSink, DedupSink, FilterSink, LimitSink, MapSink, ResultSink, TeeSink,

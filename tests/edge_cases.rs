@@ -25,7 +25,7 @@ fn all_objects_identical_point() {
         .is_empty());
 
     let sp = SpKwIndex::build(&dataset, 2);
-    let got = sorted(sp.query_polytope(
+    let got = sorted(sp.query(
         &ConvexPolytope::from_halfspace(Halfspace::new(&[1.0, 0.0], 10.0)),
         &[0, 5],
     ));
@@ -40,7 +40,10 @@ fn singleton_dataset() {
     assert_eq!(orp.query(&Rect::full(2), &[3, 4]), vec![0]);
     assert!(orp.query(&Rect::full(2), &[3, 5]).is_empty());
     let nn = LinfNnIndex::build(&dataset, 2);
-    assert_eq!(nn.query(&Point::new2(100.0, 100.0), 3, &[3, 4]), vec![0]);
+    assert_eq!(
+        nn.query(&NnQuery::new(Point::new2(100.0, 100.0), 3), &[3, 4]),
+        vec![0]
+    );
 }
 
 /// Every object shares one giant document: all keywords maximally
@@ -55,7 +58,7 @@ fn identical_large_documents() {
     );
     for k in [2usize, 3, 4] {
         let orp = OrpKwIndex::build(&dataset, k);
-        orp.check_invariants().unwrap();
+        orp.validate().unwrap();
         let kws: Vec<Keyword> = (0..k as u32).collect();
         let q = Rect::new(&[50.0, 0.0], &[150.0, 300.0]);
         let got = sorted(orp.query(&q, &kws));
@@ -145,7 +148,7 @@ fn wide_documents() {
             .collect(),
     );
     let orp = OrpKwIndex::build(&dataset, 3);
-    orp.check_invariants().unwrap();
+    orp.validate().unwrap();
     let oracle = FullScan::new(&dataset);
     for _ in 0..30 {
         let mut kws: Vec<Keyword> = Vec::new();

@@ -22,9 +22,7 @@ fn framework_invariants_hold_on_zipf_workload() {
     for k in [2, 3] {
         let dataset = workload(5_000, 1);
         let index = OrpKwIndex::build(&dataset, k);
-        index
-            .check_invariants()
-            .unwrap_or_else(|e| panic!("k={k}: {e}"));
+        index.validate().unwrap_or_else(|e| panic!("k={k}: {e}"));
     }
 }
 
@@ -171,7 +169,10 @@ fn all_solutions_agree_end_to_end() {
         let q = gen.rect(0.05);
         let expected = oracle.query_rect(&q, &kws);
         assert_eq!(sorted(orp.query(&q, &kws)), expected);
-        assert_eq!(sorted(lc.query_rect(&q, &kws)), expected);
+        assert_eq!(
+            sorted(lc.query(ConvexPolytope::from_rect(&q).halfspaces(), &kws)),
+            expected
+        );
         assert_eq!(sorted(kf.query_rect(&q, &kws)), expected);
         assert_eq!(sorted(sf.query_rect(&q, &kws)), expected);
 
@@ -187,8 +188,14 @@ fn all_solutions_agree_end_to_end() {
 
         let p = gen.integer_point();
         for t in [1, 5] {
-            assert_eq!(nn_inf.query(&p, t, &kws), oracle.nn_linf(&p, t, &kws));
-            assert_eq!(nn_2.query(&p, t, &kws), oracle.nn_l2(&p, t, &kws));
+            assert_eq!(
+                nn_inf.query(&NnQuery::new(p, t), &kws),
+                oracle.nn_linf(&p, t, &kws)
+            );
+            assert_eq!(
+                nn_2.query(&NnQuery::new(p, t), &kws),
+                oracle.nn_l2(&p, t, &kws)
+            );
         }
     }
 }

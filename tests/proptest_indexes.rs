@@ -77,7 +77,7 @@ proptest! {
         kws in two_keywords(),
     ) {
         let index = OrpKwIndex::build(&dataset, 2);
-        index.check_invariants().unwrap();
+        index.validate().unwrap();
         deep_validate!(index);
         let oracle = FullScan::new(&dataset);
         prop_assert_eq!(sorted(index.query(&q, &kws)), oracle.query_rect(&q, &kws));
@@ -138,10 +138,10 @@ proptest! {
                 .collect(),
         );
         let index = SpKwIndex::build_with_strategy(&dataset, 2, SpStrategy::Willard);
-        index.check_invariants().unwrap();
+        index.validate().unwrap();
         deep_validate!(index);
         let oracle = FullScan::new(&dataset);
-        prop_assert_eq!(sorted(index.query_polytope(&q, &kws)), oracle.query_polytope(&q, &kws));
+        prop_assert_eq!(sorted(index.query(&q, &kws)), oracle.query_polytope(&q, &kws));
     }
 
     #[test]
@@ -157,10 +157,10 @@ proptest! {
                 .collect(),
         );
         let index = SpKwIndex::build_with_strategy(&dataset, 2, SpStrategy::Quad);
-        index.check_invariants().unwrap();
+        index.validate().unwrap();
         deep_validate!(index);
         let oracle = FullScan::new(&dataset);
-        prop_assert_eq!(sorted(index.query_polytope(&q, &kws)), oracle.query_polytope(&q, &kws));
+        prop_assert_eq!(sorted(index.query(&q, &kws)), oracle.query_polytope(&q, &kws));
     }
 
     #[test]
@@ -180,7 +180,7 @@ proptest! {
         let index = SpKwIndex::build_with_strategy(&dataset, 2, SpStrategy::Kd);
         deep_validate!(index);
         let oracle = FullScan::new(&dataset);
-        prop_assert_eq!(sorted(index.query_polytope(&q, &kws)), oracle.query_polytope(&q, &kws));
+        prop_assert_eq!(sorted(index.query(&q, &kws)), oracle.query_polytope(&q, &kws));
     }
 
     #[test]
@@ -206,7 +206,7 @@ proptest! {
         let index = LinfNnIndex::build(&dataset, 2);
         deep_validate!(index);
         let oracle = FullScan::new(&dataset);
-        prop_assert_eq!(index.query(&q, t, &kws), oracle.nn_linf(&q, t, &kws));
+        prop_assert_eq!(index.query(&NnQuery::new(q, t), &kws), oracle.nn_linf(&q, t, &kws));
     }
 
     #[test]
@@ -219,7 +219,7 @@ proptest! {
         let index = L2NnIndex::build(&dataset, 2);
         deep_validate!(index);
         let oracle = FullScan::new(&dataset);
-        prop_assert_eq!(index.query(&q, t, &kws), oracle.nn_l2(&q, t, &kws));
+        prop_assert_eq!(index.query(&NnQuery::new(q, t), &kws), oracle.nn_l2(&q, t, &kws));
     }
 
     #[test]
@@ -229,7 +229,7 @@ proptest! {
     ) {
         let docs: Vec<Document> = docs.into_iter().map(Document::new).collect();
         let ksi = KsiIndex::build(&docs, 2);
-        ksi.check_invariants().unwrap();
+        ksi.validate().unwrap();
         deep_validate!(ksi);
         let inv = InvertedIndex::build(&docs);
         prop_assert_eq!(sorted(ksi.intersect(&kws)), inv.intersect(&kws));

@@ -218,7 +218,7 @@ fn assert_queries_match_oracle(acked: &Live, seed: u64) {
         // distance profile, not the id set.
         let t = 1 + rng.below(4) as usize;
         let mut got: Vec<f64> = nn
-            .query(&center, t, &kws)
+            .query(&NnQuery::new(center, t), &kws)
             .iter()
             .map(|&i| live[i as usize].1.linf(&center))
             .collect();

@@ -91,7 +91,7 @@ fn ksi_reporting_via_linf_nn_doubling() {
         let q = Point::new2(0.0, 0.0); // arbitrary
         let mut t = 1usize;
         let result = loop {
-            let r = nn.query(&q, t, &[w1, w2]);
+            let r = nn.query(&NnQuery::new(q, t), &[w1, w2]);
             if r.len() < t {
                 break r;
             }

@@ -6,6 +6,10 @@
 //!
 //! Counter assertions use *deltas with `>=`*: the `skq-obs` registry
 //! is process-global and the test harness runs files in parallel.
+//!
+//! Fail points are process-global too: a `serve::worker` panic armed by
+//! one test fires in every server alive at the time. With `failpoints`
+//! on, every test here holds [`FpGuard`] for its whole body.
 
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
@@ -14,6 +18,40 @@ use std::time::Duration;
 use structured_keyword_search::core::suite::OrpKwSuite;
 use structured_keyword_search::prelude::*;
 use structured_keyword_search::serve::{Request, Server, ServerConfig};
+
+#[cfg(feature = "failpoints")]
+use structured_keyword_search::core::failpoints::{self, FailAction};
+
+#[cfg(feature = "failpoints")]
+static FAILPOINT_LOCK: std::sync::Mutex<()> = std::sync::Mutex::new(());
+
+/// Serializes the tests of this file while fail points can be armed,
+/// clearing the registry on entry and exit; empty without the feature.
+struct FpGuard(
+    #[cfg(feature = "failpoints")]
+    #[allow(dead_code)]
+    std::sync::MutexGuard<'static, ()>,
+);
+
+impl FpGuard {
+    fn acquire() -> Self {
+        #[cfg(feature = "failpoints")]
+        {
+            let guard = FAILPOINT_LOCK.lock().unwrap_or_else(|e| e.into_inner());
+            failpoints::clear();
+            Self(guard)
+        }
+        #[cfg(not(feature = "failpoints"))]
+        Self()
+    }
+}
+
+#[cfg(feature = "failpoints")]
+impl Drop for FpGuard {
+    fn drop(&mut self) {
+        failpoints::clear();
+    }
+}
 
 fn suite(n: usize) -> OrpKwSuite {
     let dataset = Dataset::from_parts(
@@ -36,6 +74,7 @@ fn counter(name: &str) -> u64 {
 /// typed error, and the dedicated deadline counter fires.
 #[test]
 fn lapsed_deadline_is_shed_with_typed_error() {
+    let _fp = FpGuard::acquire();
     let server = Server::start(suite(200), ServerConfig::default());
     let before = counter("skq_query_deadline_exceeded");
     let mut shed = 0;
@@ -63,6 +102,7 @@ fn lapsed_deadline_is_shed_with_typed_error() {
 /// A server-wide default deadline applies to requests that carry none.
 #[test]
 fn default_deadline_applies_to_bare_requests() {
+    let _fp = FpGuard::acquire();
     let server = Server::start(
         suite(100),
         ServerConfig {
@@ -84,6 +124,7 @@ fn default_deadline_applies_to_bare_requests() {
 /// A pre-cancelled token sheds deterministically with `Cancelled`.
 #[test]
 fn cancelled_token_sheds_with_typed_error() {
+    let _fp = FpGuard::acquire();
     let server = Server::start(suite(100), ServerConfig::default());
     let before = counter("skq_query_cancelled");
     let token = CancelToken::new();
@@ -100,6 +141,7 @@ fn cancelled_token_sheds_with_typed_error() {
 /// most that many — rather than erroring.
 #[test]
 fn result_budget_truncates_without_error() {
+    let _fp = FpGuard::acquire();
     let server = Server::start(suite(200), ServerConfig::default());
     let mut req = Request::new(Rect::full(2), vec![0, 1]);
     req.max_results = Some(25);
@@ -113,6 +155,7 @@ fn result_budget_truncates_without_error() {
 /// overload error before any worker is involved.
 #[test]
 fn saturated_queue_sheds_with_overloaded() {
+    let _fp = FpGuard::acquire();
     let server = Server::start(
         suite(100),
         ServerConfig {
@@ -141,6 +184,7 @@ fn saturated_queue_sheds_with_overloaded() {
 /// panic), and the pool still serves cleanly afterwards.
 #[test]
 fn pool_saturation_resolves_every_request() {
+    let _fp = FpGuard::acquire();
     let server = Arc::new(Server::start(
         suite(400),
         ServerConfig {
@@ -192,6 +236,7 @@ fn pool_saturation_resolves_every_request() {
 /// worker pool.
 #[test]
 fn invalid_queries_stay_typed_under_load() {
+    let _fp = FpGuard::acquire();
     let server = Server::start(suite(50), ServerConfig::default());
     for wrong_dim in [1usize, 3, 5] {
         let err = server
@@ -203,31 +248,9 @@ fn invalid_queries_stay_typed_under_load() {
 }
 
 /// Fail-point battery: worker poisoning and request-level injections.
-/// Serialized on a local mutex — the fail-point registry is
-/// process-global — and cleared on entry and exit.
 #[cfg(feature = "failpoints")]
 mod failpoint_battery {
     use super::*;
-    use std::sync::Mutex;
-    use structured_keyword_search::core::failpoints::{self, FailAction};
-
-    static FAILPOINT_LOCK: Mutex<()> = Mutex::new(());
-
-    struct FpGuard<'a>(#[allow(dead_code)] std::sync::MutexGuard<'a, ()>);
-
-    impl<'a> FpGuard<'a> {
-        fn acquire() -> Self {
-            let guard = FAILPOINT_LOCK.lock().unwrap_or_else(|e| e.into_inner());
-            failpoints::clear();
-            Self(guard)
-        }
-    }
-
-    impl Drop for FpGuard<'_> {
-        fn drop(&mut self) {
-            failpoints::clear();
-        }
-    }
 
     /// A poisoned worker (panic between pop and reply) loses exactly
     /// the jobs it was holding, is respawned, and the pool keeps

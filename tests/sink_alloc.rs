@@ -134,9 +134,13 @@ fn counting_and_threshold_queries_do_not_materialize_results() {
     // none of them may materialize candidates. Only the two final
     // collection passes (a handful of near neighbours here) allocate.
     let nn = LinfNnIndex::build(&dataset, 2);
-    let _ = nn.query(&Point::new2(0.0, 0.0), 5, &[0, 1]); // warm-up
+    let _ = nn.query(&NnQuery::new(Point::new2(0.0, 0.0), 5), &[0, 1]); // warm-up
     let nn_bytes = bytes_allocated_by(|| {
-        assert_eq!(nn.query(&Point::new2(0.0, 0.0), 5, &[0, 1]).len(), 5);
+        assert_eq!(
+            nn.query(&NnQuery::new(Point::new2(0.0, 0.0), 5), &[0, 1])
+                .len(),
+            5
+        );
     });
     assert!(
         nn_bytes < (n * 4 / 2) as u64,

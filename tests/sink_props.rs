@@ -179,8 +179,8 @@ proptest! {
     ) {
         let index = LinfNnIndex::build(&dataset, 2);
         let q = Point::new2(f64::from(at[0]), f64::from(at[1]));
-        let all = index.query(&q, usize::MAX, &kws);
-        let got = index.query(&q, t, &kws);
+        let all = index.query(&NnQuery::new(q, usize::MAX), &kws);
+        let got = index.query(&NnQuery::new(q, t), &kws);
         prop_assert_eq!(&got[..], &all[..t.min(all.len())]);
     }
 }

@@ -142,7 +142,7 @@ proptest! {
         let loaded = reload(&built);
         let p: Vec<f64> = at.into_iter().map(f64::from).collect();
         let p = Point::new(&p);
-        prop_assert_eq!(built.query(&p, t, &kws), loaded.query(&p, t, &kws));
+        prop_assert_eq!(built.query(&NnQuery::new(p, t), &kws), loaded.query(&NnQuery::new(p, t), &kws));
     }
 
     #[test]

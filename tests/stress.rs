@@ -33,7 +33,7 @@ fn city_200k_all_indexes_agree_with_baselines() {
         let expected = sorted(kf.query_rect(&q, &kws));
         assert_eq!(sorted(orp.query(&q, &kws)), expected, "orp trial {trial}");
         assert_eq!(
-            sorted(lc.query_rect(&q, &kws)),
+            sorted(lc.query(ConvexPolytope::from_rect(&q).halfspaces(), &kws)),
             expected,
             "lc trial {trial}"
         );
@@ -49,7 +49,7 @@ fn city_200k_all_indexes_agree_with_baselines() {
         let p = gen.point();
         let t = 1 + trial % 16;
         assert_eq!(
-            nn.query(&p, t, &kws),
+            nn.query(&NnQuery::new(p, t), &kws),
             kf.nn_linf(&p, t, &kws),
             "nn trial {trial}"
         );

@@ -113,7 +113,7 @@ proptest! {
         let legacy = LinfNnIndex::build(&d, 2);
         let fallible = LinfNnIndex::try_build(&d, 2).expect("valid dataset must build");
         let mut out = Vec::new();
-        fallible.try_query_into(&at, t, &kws, &mut out).expect("valid query");
-        prop_assert_eq!(sorted(out), sorted(legacy.query(&at, t, &kws)));
+        fallible.try_query_into(&NnQuery::new(at, t), &kws, &mut out).expect("valid query");
+        prop_assert_eq!(sorted(out), sorted(legacy.query(&NnQuery::new(at, t), &kws)));
     }
 }
